@@ -1,8 +1,9 @@
 //! Blocking client for the `flatwalk-serve-v1` protocol, used by the
 //! `flatwalk-client` binary and the end-to-end tests.
 //!
-//! A [`Connection`] is one stream to the server (TCP loopback or Unix
-//! socket). Requests are written as single lines; replies are read
+//! A [`Connection`] is one stream to the server (TCP loopback with
+//! `TCP_NODELAY`, or a Unix socket). Requests go out as single lines,
+//! one write each ([`crate::proto::write_line`]); replies are read
 //! back line-by-line — [`Connection::request`] for one-reply ops,
 //! [`Connection::recv_line`] to drain a `submit … "stream":true` event
 //! stream.
@@ -12,13 +13,15 @@
 //! SplitMix64 jitter, so two clients started together do not hammer a
 //! recovering server in lockstep.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::Path;
 use std::time::Duration;
+
+use crate::proto::write_line;
 
 /// Jittered exponential backoff schedule.
 ///
@@ -115,24 +118,6 @@ impl Read for Stream {
     }
 }
 
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One open connection to a flatwalk-serve daemon.
 #[derive(Debug)]
 pub struct Connection {
@@ -149,13 +134,16 @@ impl Connection {
         })
     }
 
-    /// Connects over TCP, e.g. `"127.0.0.1:4641"`.
+    /// Connects over TCP, e.g. `"127.0.0.1:4641"`, with `TCP_NODELAY`
+    /// set.
     ///
     /// # Errors
     ///
-    /// Propagates connect failures.
+    /// Propagates connect and socket-option failures.
     pub fn connect_tcp(addr: &str) -> std::io::Result<Connection> {
-        Connection::from_stream(Stream::Tcp(TcpStream::connect(addr)?))
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Connection::from_stream(Stream::Tcp(stream))
     }
 
     /// Connects over a Unix socket.
@@ -168,15 +156,18 @@ impl Connection {
         Connection::from_stream(Stream::Unix(UnixStream::connect(path)?))
     }
 
-    /// Sends one request line.
+    /// Sends one request line (one write, see
+    /// [`write_line`](crate::proto::write_line)).
     ///
     /// # Errors
     ///
     /// Propagates write failures.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        match &mut self.writer {
+            Stream::Tcp(s) => write_line(s, line),
+            #[cfg(unix)]
+            Stream::Unix(s) => write_line(s, line),
+        }
     }
 
     /// Reads the next reply line; `None` on server-side EOF.

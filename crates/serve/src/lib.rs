@@ -22,7 +22,7 @@
 //! Modules:
 //!
 //! - [`proto`] — wire protocol: request parsing, [`proto::JobSpec`],
-//!   error replies.
+//!   error replies, and the one-write line framing both ends use.
 //! - [`rcache`] — content-keyed LRU result cache above the setup
 //!   cache.
 //! - [`store`] — disk-backed content-addressed result store beneath
@@ -30,7 +30,7 @@
 //!   checksum verification with quarantine).
 //! - [`server`] — listeners, bounded job queue with backpressure,
 //!   workers, worker supervision, in-flight coalescing, admission
-//!   control, drain/shutdown.
+//!   control, bounded retention of finished jobs, drain/shutdown.
 //! - [`client`] — blocking client used by the `flatwalk-client`
 //!   binary and the end-to-end tests, with jittered-backoff reconnect
 //!   helpers.

@@ -2,7 +2,9 @@
 //!
 //! Newline-delimited JSON over a local stream (TCP on `127.0.0.1` or a
 //! Unix socket). The client writes one request object per line; the
-//! server answers with one or more reply lines. Every reply carries
+//! server answers with one or more reply lines. Both ends frame every
+//! line with [`write_line`] (one write per line) and set `TCP_NODELAY`
+//! on TCP streams, so no line waits on a timer. Every reply carries
 //! `"ok"`: errors are `{"ok":false,"error":<kind>,"detail":…}` with
 //! `kind` ∈ `bad_request` | `overloaded` | `draining` | `not_found`.
 //!
@@ -49,6 +51,8 @@
 //! the `result` op returns: the per-cell report JSON is byte-identical
 //! to `SimReport::to_json()` in the batch binaries' `--json` output,
 //! plus service fields `"cached"`/`"coalesced"`.
+
+use std::io::Write;
 
 use flatwalk_bench::grids::{self, Grid};
 use flatwalk_bench::Mode;
@@ -329,9 +333,76 @@ pub fn error_line(kind: &str, detail: &str) -> String {
     o.to_string()
 }
 
+/// Writes one protocol line: `line` and its `\n` in a single
+/// `write_all`, then a flush. Client requests and every server reply
+/// and stream event go through here. Writing the terminator separately
+/// would leave it as a second small segment that Nagle's algorithm
+/// holds until the peer's delayed ACK (40 ms on Linux) arrives.
+///
+/// # Errors
+///
+/// Propagates write and flush failures.
+pub fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A `Write` that keeps the bytes of every `write` call apart and
+    /// counts flushes.
+    #[derive(Debug, Default)]
+    pub(crate) struct RecordingWriter {
+        pub(crate) writes: Vec<Vec<u8>>,
+        pub(crate) flushes: usize,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_issues_one_write_per_line() {
+        let mut w = RecordingWriter::default();
+        let lines = [r#"{"op":"ping"}"#, "", &"x".repeat(64 << 10)];
+        for line in lines {
+            write_line(&mut w, line).unwrap();
+        }
+        assert_eq!(w.writes.len(), lines.len());
+        assert_eq!(w.flushes, lines.len());
+        for (line, written) in lines.iter().zip(&w.writes) {
+            assert_eq!(written, format!("{line}\n").as_bytes());
+        }
+    }
+
+    #[test]
+    fn write_line_is_the_only_writer_on_the_client_and_server_paths() {
+        let sources = [
+            ("client.rs", include_str!("client.rs")),
+            ("server.rs", include_str!("server.rs")),
+        ];
+        for (file, source) in sources {
+            for call in ["write_all(", ".write(", "write!(", "writeln!(", ".flush("] {
+                assert!(
+                    !source.contains(call),
+                    "{file} calls `{call}`: protocol lines must go through proto::write_line"
+                );
+            }
+        }
+    }
 
     #[test]
     fn submit_round_trips_through_request_line() {

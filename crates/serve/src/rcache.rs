@@ -19,8 +19,11 @@
 //! [`flatwalk_sync::SwapMap`] (epoch-style snapshot swaps), and a hit
 //! refreshes its LRU recency with one relaxed atomic store — no
 //! `Mutex` anywhere between a request and its cached bytes. Writers
-//! (insert + eviction) serialize on one mutex; an insert follows a
-//! full cell simulation, so its clone-and-swap cost is noise.
+//! (insert + eviction) serialize on one mutex. Keys are shared
+//! `Arc<str>`s, so the snapshot copy each insert makes costs a
+//! reference count per entry rather than a copy of every key (about
+//! 2 KB each), and an insert stays cheap next to the simulation it
+//! follows however full the cache is.
 //!
 //! The cache is bounded by an approximate byte budget
 //! (`FLATWALK_RESULT_CACHE_MB`, default 64 MB) with LRU eviction
@@ -95,7 +98,7 @@ struct Entry {
 /// lock-free lookups.
 #[derive(Debug)]
 pub struct ResultCache {
-    map: SwapMap<String, Arc<Entry>>,
+    map: SwapMap<Arc<str>, Arc<Entry>>,
     tick: AtomicU64,
     bytes: AtomicU64,
     evicted: AtomicU64,
@@ -121,10 +124,9 @@ impl ResultCache {
     /// Looks `key` up, refreshing its recency on a hit. Lock-free: a
     /// snapshot probe plus one relaxed store.
     pub fn get(&self, key: &str) -> Option<CachedCell> {
-        // SwapMap keys by `String`; borrow-form lookup would need the
-        // unstable raw-entry API, and serve's keys are built as owned
-        // Strings anyway.
-        let entry = self.map.get(&key.to_string())?;
+        // `SwapMap::get` takes its own key type, so the probe key is
+        // built as an `Arc<str>`.
+        let entry = self.map.get(&Arc::from(key))?;
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         entry.last_used.store(tick, Ordering::Relaxed);
         Some(entry.value.clone())
@@ -135,6 +137,12 @@ impl ResultCache {
     /// whole budget is admitted alone — serving one oversized grid cell
     /// from cache still beats re-simulating it.
     pub fn insert(&self, key: String, value: CachedCell) {
+        self.insert_shared(key.into(), value);
+    }
+
+    /// [`insert`](ResultCache::insert) for a key the caller already
+    /// holds as a shared `Arc<str>`; the cache keeps that allocation.
+    pub fn insert_shared(&self, key: Arc<str>, value: CachedCell) {
         let _write = self.write.lock().unwrap_or_else(|e| e.into_inner()); // lock-ok: write path
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let cost = value.cost_bytes(key.len());
@@ -152,12 +160,12 @@ impl ResultCache {
             // Coldest entry across the current snapshots (exact while
             // the write lock serializes mutation; concurrent hits can
             // only make a victim look *colder* than it just became).
-            let victim = self.map.fold(None::<(String, u64)>, |acc, snap| {
+            let victim = self.map.fold(None::<(Arc<str>, u64)>, |acc, snap| {
                 snap.iter().fold(acc, |acc, (k, e)| {
                     let used = e.last_used.load(Ordering::Relaxed);
                     match &acc {
                         Some((_, best)) if *best <= used => acc,
-                        _ => Some((k.clone(), used)),
+                        _ => Some((Arc::clone(k), used)),
                     }
                 })
             });

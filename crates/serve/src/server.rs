@@ -24,11 +24,17 @@
 //!    re-installed as a thread-scoped plan on every pool thread, plus
 //!    the job's cancel flag as the ambient scoped cancel so a deadline
 //!    stops cells at the next batch boundary). Completed cells are
-//!    rendered once, written through to the store, and streamed to
-//!    subscribers **in index order** — an emit cursor holds back
-//!    out-of-order finishes until their predecessors land.
-//! 3. The finished job stays addressable (`status` / `result`) for the
-//!    server's lifetime.
+//!    rendered once and streamed to subscribers **in index order** — an
+//!    emit cursor holds back out-of-order finishes until their
+//!    predecessors land. Executed cells are written through to the
+//!    store by a writer thread beside the cell threads
+//!    ([`StoreWrites`]), so a cell thread does not wait on `fsync`; the
+//!    job's `done` goes out only after every one of its writes is
+//!    durable.
+//! 3. The finished job stays addressable (`status` / `result`, and its
+//!    `submit_key`) until [`RETAINED_JOBS`] newer jobs have finished;
+//!    after that its id answers `not_found`, and a resubmit is served
+//!    from the result cache or the store.
 //!
 //! A supervisor thread watches the worker pool: a worker that panics
 //! mid-job is detected, its job re-queued at the front under a
@@ -48,23 +54,28 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use flatwalk_obs::{metrics, span, trace, Json};
 use flatwalk_sim::runner::{self, CancelFlag, Cell, CellOutcome};
 use flatwalk_types::stats::LatencyHistogram;
 
-use crate::proto::{self, JobSpec, Request, PROTOCOL};
+use crate::proto::{self, write_line, JobSpec, Request, PROTOCOL};
 use crate::rcache::{cell_key, CachedCell, ResultCache};
 use crate::store::ResultStore;
 
-/// How often the non-blocking accept loop polls for connections and
-/// drain completion.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Finished jobs kept addressable by `status`, `result` and
+/// `submit_key`; beyond this many, the oldest finished job is evicted
+/// first. Queued and running jobs are always kept.
+pub const RETAINED_JOBS: usize = 128;
+
+/// Pause after a failed `accept` (out of file descriptors, say), so
+/// the accept loop does not spin on a persistent error.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
 
 /// How often the supervisor sweeps the worker pool for dead workers,
 /// passed deadlines, and stalled jobs.
@@ -272,13 +283,21 @@ pub struct Counters {
     workers_respawned: AtomicU64,
 }
 
+/// Every addressable job, and the finished ones' ids in completion
+/// order (oldest first), at most [`RETAINED_JOBS`] of them.
+#[derive(Debug, Default)]
+struct JobTable {
+    by_id: HashMap<u64, Arc<Job>>,
+    finished: VecDeque<u64>,
+}
+
 /// Shared state of a running server.
 #[derive(Debug)]
 pub struct ServerInner {
     config: ServerConfig,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_cv: Condvar,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     next_job: AtomicU64,
     draining: AtomicBool,
     in_flight: AtomicUsize,
@@ -287,7 +306,7 @@ pub struct ServerInner {
     /// Disk-backed store beneath the memory cache; `None` runs memory
     /// only (no `store_dir`, or the directory failed to open).
     store: Option<ResultStore>,
-    inflight_cells: Mutex<HashMap<String, Arc<InflightSlot>>>,
+    inflight_cells: Mutex<HashMap<Arc<str>, Arc<InflightSlot>>>,
     /// `submit_key` → job id, for idempotent resubmits.
     submit_keys: Mutex<HashMap<String, u64>>,
     /// Exponentially weighted moving average of job wall time in
@@ -325,7 +344,7 @@ impl ServerInner {
             config,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_job: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -386,7 +405,13 @@ impl ServerInner {
     /// stop at their next batch boundary.
     pub fn cancel_remaining(&self) {
         self.cancel.cancel();
-        for job in self.jobs.lock().unwrap_or_else(|e| e.into_inner()).values() {
+        for job in self
+            .jobs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .by_id
+            .values()
+        {
             if job.state.load(Ordering::Relaxed) != DONE {
                 job.cancel.cancel();
             }
@@ -558,6 +583,7 @@ impl ServerInner {
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .by_id
             .insert(id, Arc::clone(&job));
         queue.push_back(Arc::clone(&job));
         drop(queue);
@@ -569,19 +595,62 @@ impl ServerInner {
         Ok((job, false))
     }
 
-    /// Looks a job up by id.
+    /// Looks a job up by id; `None` once it was evicted (see
+    /// [`RETAINED_JOBS`]).
     pub fn job(&self, id: u64) -> Option<Arc<Job>> {
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .by_id
             .get(&id)
             .cloned()
     }
 
-    /// Runs one cell through cache → coalesce → execute.
-    fn execute_cell(&self, job_id: u64, index: usize, total: usize, cell: &Cell) -> CellData {
+    /// `submit_key`s currently mapped to a job.
+    pub fn submit_keys_held(&self) -> usize {
+        self.submit_keys
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
+
+    /// Records `job` as finished and evicts the oldest finished job
+    /// beyond [`RETAINED_JOBS`], with its `submit_key`.
+    fn retire(&self, job: &Job) {
+        let evicted = {
+            let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            jobs.finished.push_back(job.id);
+            if jobs.finished.len() > RETAINED_JOBS {
+                let oldest = jobs.finished.pop_front().expect("longer than the bound");
+                jobs.by_id.remove(&oldest)
+            } else {
+                None
+            }
+        };
+        // Lock order is submit_keys → jobs, so the key is dropped after
+        // the jobs lock is released. A resubmit in between finds the key
+        // but not the job and maps the key to a new job, which stays.
+        let Some(old) = evicted else { return };
+        if let Some(key) = &old.spec.submit_key {
+            let mut keys = self.submit_keys.lock().unwrap_or_else(|e| e.into_inner());
+            if keys.get(key) == Some(&old.id) {
+                keys.remove(key);
+            }
+        }
+    }
+
+    /// Runs one cell through cache → coalesce → execute; an executed
+    /// cell's durable write goes to `writes`.
+    fn execute_cell(
+        &self,
+        job_id: u64,
+        index: usize,
+        total: usize,
+        cell: &Cell,
+        writes: &StoreWrites<'_, '_>,
+    ) -> CellData {
         let signature = flatwalk_faults::signature_active();
-        let key = cell_key(cell, signature, index, total);
+        let key: Arc<str> = cell_key(cell, signature, index, total).into();
         if let Some(hit) = self.cache.get(&key) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             metrics::add_global("serve.cache.hits", 1);
@@ -613,7 +682,7 @@ impl ServerInner {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::new(InflightSlot::default());
-                    map.insert(key.clone(), Arc::clone(&slot));
+                    map.insert(Arc::clone(&key), Arc::clone(&slot));
                     (slot, true)
                 }
             }
@@ -644,7 +713,7 @@ impl ServerInner {
         // cell. A hit is promoted into the memory cache and fulfils
         // any coalesced waiters, byte-identical to the original run.
         if let Some(hit) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            self.cache.insert(key.clone(), hit.clone());
+            self.cache.insert_shared(Arc::clone(&key), hit.clone());
             self.inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -678,10 +747,8 @@ impl ServerInner {
                 // arriving in between hits the cache instead of
                 // re-executing. Write-through to the persistent store
                 // (best-effort: a full disk must not fail the cell).
-                self.cache.insert(key.clone(), value.clone());
-                if let Some(store) = &self.store {
-                    store.put(&key, &value);
-                }
+                self.cache.insert_shared(Arc::clone(&key), value.clone());
+                writes.put(&key, &value);
                 Ok(value)
             }
             CellOutcome::Failed { error, retries } => Err((error, retries)),
@@ -748,54 +815,59 @@ impl ServerInner {
             n => n,
         };
         let progress = runner::Progress::quiet(total);
-        runner::run_ordered(
-            (0..total).collect(),
-            fan,
-            &progress,
-            |_| 1,
-            |index: usize| {
-                if job.records.lock().unwrap_or_else(|e| e.into_inner())[index].is_some() {
-                    return;
-                }
-                let _plan_scope = flatwalk_faults::scoped(plan);
-                let _cancel_scope = runner::scoped_cancel(job.cancel.clone());
-                let data = if self.cancel.is_cancelled() || job.cancel.is_cancelled() {
-                    CellData::Failed {
-                        error: format!("cancelled before start: cell {index} of {total}"),
-                        retries: 0,
+        std::thread::scope(|scope| {
+            let writes = StoreWrites::new(self.store.as_ref(), scope);
+            runner::run_ordered(
+                (0..total).collect(),
+                fan,
+                &progress,
+                |_| 1,
+                |index: usize| {
+                    if job.records.lock().unwrap_or_else(|e| e.into_inner())[index].is_some() {
+                        return;
                     }
-                } else {
-                    self.execute_cell(job.id, index, total, &job.cells[index])
-                };
-                match &data {
-                    CellData::Done {
-                        cached, coalesced, ..
-                    } => {
-                        if *cached {
-                            job.cached_cells.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            job.executed_cells.fetch_add(1, Ordering::Relaxed);
+                    let _plan_scope = flatwalk_faults::scoped(plan);
+                    let _cancel_scope = runner::scoped_cancel(job.cancel.clone());
+                    let data = if self.cancel.is_cancelled() || job.cancel.is_cancelled() {
+                        CellData::Failed {
+                            error: format!("cancelled before start: cell {index} of {total}"),
+                            retries: 0,
                         }
-                        if *coalesced {
-                            job.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.execute_cell(job.id, index, total, &job.cells[index], &writes)
+                    };
+                    match &data {
+                        CellData::Done {
+                            cached, coalesced, ..
+                        } => {
+                            if *cached {
+                                job.cached_cells.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                job.executed_cells.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if *coalesced {
+                                job.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        CellData::Failed { .. } => {
+                            job.failed_cells.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    CellData::Failed { .. } => {
-                        job.failed_cells.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let record = render_record(job, index, &data);
-                job.records.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(record);
-                job.done_cells.fetch_add(1, Ordering::Relaxed);
-                // Flush the in-order prefix this completion unblocked.
-                // Lock order is emit_cursor → records everywhere; the
-                // store above released `records` first, so a racing
-                // flusher either emits our record for us or leaves the
-                // cursor parked on it for this call.
-                let _splice_span = span::enter("serve.splice");
-                flush_records(job);
-            },
-        );
+                    let record = render_record(job, index, &data);
+                    job.records.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(record);
+                    job.done_cells.fetch_add(1, Ordering::Relaxed);
+                    // Flush the in-order prefix this completion unblocked.
+                    // Lock order is emit_cursor → records everywhere; the
+                    // store above released `records` first, so a racing
+                    // flusher either emits our record for us or leaves the
+                    // cursor parked on it for this call.
+                    let _splice_span = span::enter("serve.splice");
+                    flush_records(job);
+                },
+            );
+            // Dropping `writes` closes its queue; the scope then joins
+            // the writer once every queued entry is durable.
+        });
         self.finish_job(job, Some(run_started.elapsed().as_nanos() as u64));
     }
 
@@ -816,6 +888,9 @@ impl ServerInner {
             let _cursor = job.emit_cursor.lock().unwrap_or_else(|e| e.into_inner());
             job.state.store(DONE, Ordering::Relaxed);
         }
+        // Evict before the done event goes out, so a client that has
+        // read `done` already sees the eviction it caused.
+        self.retire(job);
         job.broadcast(&done_event_line(job));
         // Closing the channels ends the subscribers' streams.
         job.subscribers
@@ -1191,10 +1266,46 @@ fn render_record(job: &Job, index: usize, data: &CellData) -> String {
     }
 }
 
-fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+/// The store writes of one job's executed cells. The first write
+/// starts a writer thread in the job's scope, so the cell threads go
+/// on simulating while entries are synced to disk; the scope, and with
+/// it every write, ends before the job's `done` event goes out.
+struct StoreWrites<'scope, 'env> {
+    store: Option<&'env ResultStore>,
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    queue: OnceLock<Sender<(Arc<str>, CachedCell)>>,
+}
+
+impl<'scope, 'env> StoreWrites<'scope, 'env> {
+    fn new(
+        store: Option<&'env ResultStore>,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+    ) -> Self {
+        StoreWrites {
+            store,
+            scope,
+            queue: OnceLock::new(),
+        }
+    }
+
+    /// Queues `key`'s durable write; without a store, does nothing.
+    fn put(&self, key: &Arc<str>, value: &CachedCell) {
+        let Some(store) = self.store else { return };
+        let queue = self.queue.get_or_init(|| {
+            let (tx, rx) = channel::<(Arc<str>, CachedCell)>();
+            self.scope.spawn(move || {
+                for (key, value) in rx {
+                    store.put(&key, &value);
+                }
+            });
+            tx
+        });
+        // The writer only stops once every sender is gone, or by
+        // panicking, which the scope re-raises on the worker anyway.
+        queue
+            .send((Arc::clone(key), value.clone()))
+            .expect("the job's store writer outlives its cell threads");
+    }
 }
 
 /// Handles one request; returns `false` when the connection should
@@ -1366,9 +1477,9 @@ struct StallEntry {
 /// The supervisor: spawns and owns the worker pool, recovers jobs
 /// whose worker panicked (decrement in-flight, requeue-or-fail,
 /// respawn a replacement), cancels jobs whose deadline passed mid-run,
-/// and runs the stall watchdog. Exits — after joining the pool — once
-/// the server has drained.
-fn supervisor_loop(inner: Arc<ServerInner>) {
+/// and runs the stall watchdog. Once the server has drained it wakes
+/// the accept loops, joins the pool, and exits.
+fn supervisor_loop(inner: Arc<ServerInner>, tcp: Option<SocketAddr>, uds: Option<PathBuf>) {
     let workers = inner.config.workers.max(1);
     let mut slots: Vec<WorkerSlot> = (0..workers).map(|_| spawn_worker(&inner)).collect();
     let stall_limit = match inner.config.stall_secs {
@@ -1455,6 +1566,7 @@ fn supervisor_loop(inner: Arc<ServerInner>) {
             break;
         }
     }
+    wake_listeners(tcp, uds.as_deref());
     for slot in &mut slots {
         if let Some(handle) = slot.handle.take() {
             let _ = handle.join();
@@ -1469,57 +1581,49 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(true),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(true),
-        }
-    }
-
-    /// Accepts one connection and spawns its handler thread.
+    /// Blocks until a peer connects, then spawns its handler thread.
     fn accept_one(&self, inner: &Arc<ServerInner>) -> std::io::Result<()> {
+        let inner = Arc::clone(inner);
         match self {
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
                 let reader = stream.try_clone()?;
-                let inner = Arc::clone(inner);
                 std::thread::spawn(move || serve_connection(inner, reader, stream));
-                Ok(())
             }
             #[cfg(unix)]
             Listener::Unix(l) => {
                 let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
                 let reader = stream.try_clone()?;
-                let inner = Arc::clone(inner);
                 std::thread::spawn(move || serve_connection(inner, reader, stream));
-                Ok(())
             }
+        }
+        Ok(())
+    }
+}
+
+/// Accepts connections until the server has drained. `accept` blocks:
+/// the supervisor, which sees the drain complete, connects once to
+/// each listener ([`wake_listeners`]) so this loop can see it too.
+fn accept_loop(inner: Arc<ServerInner>, listener: Listener) {
+    while !inner.drained() {
+        if let Err(e) = listener.accept_one(&inner) {
+            eprintln!("flatwalk-serve: accept failed: {e}");
+            std::thread::sleep(ACCEPT_RETRY);
         }
     }
 }
 
-fn accept_loop(inner: Arc<ServerInner>, listener: Listener) {
-    if let Err(e) = listener.set_nonblocking() {
-        eprintln!("flatwalk-serve: cannot poll listener: {e}");
-        return;
+/// Connects once to each listener so its accept loop, blocked in
+/// `accept`, wakes and finds the drain complete. A connect that fails
+/// means that loop already exited.
+fn wake_listeners(tcp: Option<SocketAddr>, uds: Option<&Path>) {
+    if let Some(addr) = tcp {
+        let _ = std::net::TcpStream::connect(addr);
     }
-    loop {
-        if inner.drained() {
-            break;
-        }
-        match listener.accept_one(&inner) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                eprintln!("flatwalk-serve: accept failed: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
+    #[cfg(unix)]
+    if let Some(path) = uds {
+        let _ = std::os::unix::net::UnixStream::connect(path);
     }
 }
 
@@ -1617,7 +1721,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // supervisor, which joins them before exiting itself.
     {
         let inner = Arc::clone(&inner);
-        threads.push(std::thread::spawn(move || supervisor_loop(inner)));
+        let uds = uds.clone();
+        threads.push(std::thread::spawn(move || {
+            supervisor_loop(inner, addr, uds)
+        }));
     }
     Ok(ServerHandle {
         inner,
@@ -1656,6 +1763,147 @@ mod tests {
         assert_ne!(addr.port(), 0);
         handle.begin_drain();
         handle.wait();
+    }
+
+    #[test]
+    fn drain_wakes_the_blocked_accept_loops_in_every_listener_setup() {
+        let dir = std::env::temp_dir();
+        let sock =
+            |case: &str| dir.join(format!("flatwalk-wake-{}-{case}.sock", std::process::id()));
+        for (case, tcp, uds) in [
+            ("tcp", true, None),
+            ("uds", false, Some(sock("uds"))),
+            ("both", true, Some(sock("both"))),
+        ] {
+            let handle = spawn(ServerConfig {
+                tcp,
+                uds,
+                ..test_config()
+            })
+            .expect("bind listeners");
+            // One ping per listener: each accept loop has run and gone
+            // back to block in `accept`.
+            if let Some(addr) = handle.addr() {
+                let mut conn =
+                    crate::client::Connection::connect_tcp(&addr.to_string()).expect("tcp connect");
+                assert!(conn
+                    .request(r#"{"op":"ping"}"#)
+                    .expect("ping")
+                    .contains("\"ok\":true"));
+            }
+            if let Some(path) = handle.uds() {
+                let mut conn = crate::client::Connection::connect_uds(path).expect("uds connect");
+                assert!(conn
+                    .request(r#"{"op":"ping"}"#)
+                    .expect("ping")
+                    .contains("\"ok\":true"));
+            }
+            let (done_tx, done_rx) = channel();
+            let waiter = std::thread::spawn(move || {
+                handle.begin_drain();
+                handle.wait();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("{case}: begin_drain + wait took over 1 s"));
+            waiter.join().expect("waiter thread");
+        }
+    }
+
+    #[test]
+    fn every_reply_and_stream_event_is_one_write() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        let mut tiny = JobSpec::new("sec71_pwc", flatwalk_bench::Mode::Quick);
+        tiny.warmup_ops = Some(100);
+        tiny.measure_ops = Some(400);
+        tiny.footprint_divisor = Some(4096);
+        let script = [
+            r#"{"op":"ping"}"#.to_string(),
+            "not json".to_string(),
+            r#"{"op":"status","job":99}"#.to_string(),
+            r#"{"op":"metrics","format":"prometheus"}"#.to_string(),
+            r#"{"op":"watch","interval_ms":1,"count":2}"#.to_string(),
+            tiny.to_request_line(true),
+            r#"{"op":"result","job":1}"#.to_string(),
+        ]
+        .join("\n");
+        let mut w = crate::proto::tests::RecordingWriter::default();
+        serve_connection(Arc::clone(handle.inner()), script.as_bytes(), &mut w);
+        // Four single replies; two watch events and their done; the
+        // accepted event, one event per cell and done; the result.
+        let cells = tiny.resolve().expect("known grid").len();
+        assert_eq!(w.writes.len(), 4 + 3 + (cells + 2) + 1);
+        assert_eq!(w.flushes, w.writes.len());
+        for write in &w.writes {
+            let newlines = write.iter().filter(|&&b| b == b'\n').count();
+            assert!(
+                newlines == 1 && write.ends_with(b"\n"),
+                "a write must carry exactly one whole line: {:?}",
+                String::from_utf8_lossy(write)
+            );
+        }
+        handle.begin_drain();
+        handle.wait();
+    }
+
+    /// A `Write` that notes the store's write count each time a `done`
+    /// event goes out.
+    struct DoneProbe {
+        inner: Arc<ServerInner>,
+        writes_at_done: Vec<u64>,
+    }
+
+    impl Write for DoneProbe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if String::from_utf8_lossy(buf).contains(r#""event":"done""#) {
+                let writes = self.inner.store().map_or(0, ResultStore::writes);
+                self.writes_at_done.push(writes);
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn done_follows_the_durable_write_of_every_executed_cell() {
+        let dir = std::env::temp_dir().join(format!("flatwalk-done-writes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = spawn(ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..test_config()
+        })
+        .expect("bind loopback");
+        let tiny = |measure_ops| {
+            let mut spec = JobSpec::new("sec71_pwc", flatwalk_bench::Mode::Quick);
+            spec.warmup_ops = Some(100);
+            spec.measure_ops = Some(measure_ops);
+            spec.footprint_divisor = Some(4096);
+            spec
+        };
+        let cells = tiny(400).resolve().expect("known grid").len() as u64;
+        let script = [400, 400, 500].map(|ops| tiny(ops).to_request_line(true));
+        let mut probe = DoneProbe {
+            inner: Arc::clone(handle.inner()),
+            writes_at_done: Vec::new(),
+        };
+        serve_connection(
+            Arc::clone(handle.inner()),
+            script.join("\n").as_bytes(),
+            &mut probe,
+        );
+        // The repeat is served from memory and writes nothing.
+        assert_eq!(probe.writes_at_done, [cells, cells, 2 * cells]);
+        assert_eq!(
+            ResultStore::open(&dir).expect("reopen").len() as u64,
+            2 * cells
+        );
+        handle.begin_drain();
+        handle.wait();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

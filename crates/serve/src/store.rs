@@ -30,9 +30,11 @@
 //! mismatches, checksum failures — into `quarantine/` for post-mortem
 //! inspection instead of deleting or serving it.
 //!
-//! Concurrency: the key→path index is a lock-free
-//! [`flatwalk_sync::SwapMap`] and all counters are atomics — no lock
-//! anywhere in this module (`scripts/lint_lockfree.sh` enforces this).
+//! Concurrency: the index is a lock-free [`flatwalk_sync::SwapMap`]
+//! over 128-bit content addresses (16 bytes an entry, so neither its
+//! memory nor the snapshot copy each write makes grows with key
+//! length), and all counters are atomics — no lock anywhere in this
+//! module (`scripts/lint_lockfree.sh` enforces this).
 //! Concurrent writers of the same key are idempotent by content
 //! addressing: both render identical bytes, and the second rename
 //! simply replaces the first atomically.
@@ -45,7 +47,6 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use flatwalk_obs::{metrics, span, Json};
 use flatwalk_sync::SwapMap;
@@ -67,16 +68,19 @@ fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// The 128-bit content address of a cell key: two independently
+/// seeded FNV-1a folds.
+fn content_address(key: &str) -> u128 {
+    (u128::from(fnv1a64(key.as_bytes(), 0)) << 64)
+        | u128::from(fnv1a64(key.as_bytes(), 0x9E37_79B9_7F4A_7C15))
+}
+
 /// The 128-bit content address of a cell key, as 32 lowercase hex
 /// digits (two independently seeded FNV-1a folds). Used as the entry
 /// file name; the embedded full key disambiguates any residual
 /// collision.
 pub fn content_hash(key: &str) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a64(key.as_bytes(), 0),
-        fnv1a64(key.as_bytes(), 0x9E37_79B9_7F4A_7C15)
-    )
+    format!("{:032x}", content_address(key))
 }
 
 /// Renders one durable entry: header line, raw key, raw report.
@@ -181,8 +185,10 @@ fn sync_dir(dir: &Path) {
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
-    /// key → durable entry path, repopulated by the recovery scan.
-    index: SwapMap<String, Arc<PathBuf>>,
+    /// Content addresses of the durable entries, repopulated by the
+    /// recovery scan. The entry path follows from the address, and the
+    /// full key is checked against the entry on every read.
+    index: SwapMap<u128, ()>,
     tmp_seq: AtomicU64,
     quarantine_seq: AtomicU64,
     recovered: AtomicU64,
@@ -234,17 +240,18 @@ impl ResultStore {
                 match fs::read(&path)
                     .map_err(|e| e.to_string())
                     .and_then(|bytes| {
-                        let parsed = parse_entry(&bytes)?;
+                        let (key, _) = parse_entry(&bytes)?;
                         // The file must sit at its key's content address;
                         // anything else was tampered with or misplaced.
-                        let expected = format!("{}.entry", content_hash(&parsed.0));
+                        let address = content_address(&key);
+                        let expected = format!("{address:032x}.entry");
                         if path.file_name().and_then(|n| n.to_str()) != Some(expected.as_str()) {
                             return Err(format!("entry misfiled: expected name {expected}"));
                         }
-                        Ok(parsed)
+                        Ok(address)
                     }) {
-                    Ok((key, _)) => {
-                        store.index.insert(key, Arc::new(path));
+                    Ok(address) => {
+                        store.index.insert(address, ());
                         store.recovered.fetch_add(1, Ordering::Relaxed);
                         metrics::add_global("store.recovered", 1);
                     }
@@ -258,6 +265,15 @@ impl ResultStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// Where the entry with content address `address` lives.
+    fn entry_path(&self, address: u128) -> PathBuf {
+        let hash = format!("{address:032x}");
+        self.root
+            .join("objects")
+            .join(&hash[..2])
+            .join(format!("{hash}.entry"))
     }
 
     /// Moves a failed entry into `quarantine/` (never deletes it) and
@@ -291,12 +307,14 @@ impl ResultStore {
     /// [`put`](ResultStore::put) heals the store.
     pub fn get(&self, key: &str) -> Option<CachedCell> {
         let _span = span::enter("store.read");
-        let Some(path) = self.index.get(&key.to_string()) else {
+        let address = content_address(key);
+        if self.index.get(&address).is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             metrics::add_global("store.misses", 1);
             return None;
-        };
-        let verified = fs::read(path.as_path())
+        }
+        let path = self.entry_path(address);
+        let verified = fs::read(&path)
             .map_err(|e| e.to_string())
             .and_then(|bytes| parse_entry(&bytes))
             .and_then(|(stored_key, value)| {
@@ -313,7 +331,7 @@ impl ResultStore {
                 Some(value)
             }
             Err(why) => {
-                self.index.remove(&key.to_string());
+                self.index.remove(&address);
                 if path.exists() {
                     self.quarantine(&path, &why);
                 }
@@ -340,10 +358,11 @@ impl ResultStore {
     }
 
     fn put_inner(&self, key: &str, value: &CachedCell) -> io::Result<()> {
-        let hash = content_hash(key);
-        let shard = self.root.join("objects").join(&hash[..2]);
-        fs::create_dir_all(&shard)?;
-        let final_path = shard.join(format!("{hash}.entry"));
+        let address = content_address(key);
+        let final_path = self.entry_path(address);
+        let shard = final_path.parent().expect("entry paths have a shard");
+        fs::create_dir_all(shard)?;
+        let hash = format!("{address:032x}");
         let tmp_path = self.root.join("tmp").join(format!(
             "{hash}.{}.{}",
             std::process::id(),
@@ -358,8 +377,8 @@ impl ResultStore {
             let _ = fs::remove_file(&tmp_path);
             return Err(e);
         }
-        sync_dir(&shard);
-        self.index.insert(key.to_string(), Arc::new(final_path));
+        sync_dir(shard);
+        self.index.insert(address, ());
         self.writes.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("store.writes", 1);
         Ok(())
@@ -409,6 +428,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

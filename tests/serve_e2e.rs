@@ -12,7 +12,12 @@
 //! - concurrent duplicate submissions coalesce onto one execution per
 //!   distinct cell;
 //! - shutdown drains: in-flight work finishes, new submissions are
-//!   rejected with `draining`.
+//!   rejected with `draining`;
+//! - no request waits on a timer: a ping costs well under the 40 ms
+//!   delayed ACK on a kept connection and the old 25 ms accept poll on
+//!   a fresh one;
+//! - finished jobs beyond `RETAINED_JOBS` are evicted, and their ids
+//!   answer `not_found`.
 //!
 //! Grids are shrunk via `JobSpec` overrides so the whole file runs in
 //! seconds; the direct-runner reference resolves its cells through the
@@ -22,7 +27,9 @@ use flatwalk_bench::Mode;
 use flatwalk_obs::{json, Json};
 use flatwalk_serve::client::Connection;
 use flatwalk_serve::proto::JobSpec;
-use flatwalk_serve::server::{self, ServerConfig};
+use std::time::{Duration, Instant};
+
+use flatwalk_serve::server::{self, ServerConfig, RETAINED_JOBS};
 use flatwalk_sim::runner;
 
 fn test_server(workers: usize, queue_depth: usize) -> server::ServerHandle {
@@ -392,6 +399,103 @@ fn per_job_fault_plans_stay_scoped_to_their_job() {
         );
     }
 
+    handle.begin_drain();
+    handle.wait();
+}
+
+#[test]
+fn pings_on_a_kept_connection_wait_on_no_timer() {
+    let handle = test_server(1, 8);
+    let mut conn = connect(&handle);
+    let start = Instant::now();
+    for _ in 0..50 {
+        let pong = conn.request(r#"{"op":"ping"}"#).expect("ping");
+        assert!(pong.contains(r#""ok":true"#), "got {pong}");
+    }
+    let took = start.elapsed();
+    // A line split over two writes waits ~40 ms per direction for the
+    // peer's delayed ACK.
+    assert!(
+        took < Duration::from_secs(1),
+        "50 pings on one connection took {took:?}"
+    );
+    handle.begin_drain();
+    handle.wait();
+}
+
+#[test]
+fn connect_then_ping_cycles_wait_on_no_timer() {
+    let handle = test_server(1, 8);
+    let addr = handle.addr().expect("tcp listener").to_string();
+    let start = Instant::now();
+    for _ in 0..20 {
+        let mut conn = Connection::connect_tcp(&addr).expect("connect");
+        let pong = conn.request(r#"{"op":"ping"}"#).expect("ping");
+        assert!(pong.contains(r#""ok":true"#), "got {pong}");
+    }
+    let took = start.elapsed();
+    // An accept loop that polls a non-blocking listener adds its poll
+    // interval to every fresh connection.
+    assert!(
+        took < Duration::from_millis(250),
+        "20 connect-then-ping cycles took {took:?}"
+    );
+    handle.begin_drain();
+    handle.wait();
+}
+
+#[test]
+fn finished_jobs_beyond_the_retention_bound_answer_not_found() {
+    let handle = test_server(2, 8);
+    let mut conn = connect(&handle);
+    let keyed = |i: usize| {
+        let mut spec = small_spec();
+        spec.measure_ops = Some(2900);
+        spec.submit_key = Some(format!("retention-{i}"));
+        spec
+    };
+    let submits = RETAINED_JOBS + 3;
+    let mut ids = Vec::new();
+    for i in 0..submits {
+        let (_, done) = submit_streaming(&mut conn, &keyed(i));
+        assert_eq!(done.get("failed"), Some(&Json::UInt(0)), "done: {done}");
+        ids.push(done.get("job").and_then(Json::as_u64).expect("job id"));
+    }
+
+    let oldest = ids[0];
+    for op in ["status", "result"] {
+        let reply = conn
+            .request(&format!(r#"{{"op":"{op}","job":{oldest}}}"#))
+            .expect(op);
+        let v = json::parse(&reply).expect("reply parses");
+        assert_eq!(
+            v.get("error"),
+            Some(&Json::Str("not_found".into())),
+            "{op} of evicted job {oldest}: {reply}"
+        );
+    }
+    let newest = ids[submits - 1];
+    let status = conn
+        .request(&format!(r#"{{"op":"status","job":{newest}}}"#))
+        .expect("status");
+    let status = json::parse(&status).expect("status parses");
+    assert_eq!(status.get("state"), Some(&Json::Str("done".into())));
+
+    // The evicted job's key is forgotten: the resubmit is not resumed
+    // onto the old job but runs as a new one, every cell served from
+    // the result cache.
+    let (records, done) = submit_streaming(&mut conn, &keyed(0));
+    assert_eq!(done.get("job").and_then(Json::as_u64), Some(newest + 1));
+    assert_eq!(done.get("executed"), Some(&Json::UInt(0)), "done: {done}");
+    assert_eq!(
+        done.get("cells").and_then(Json::as_u64),
+        Some(records.len() as u64)
+    );
+    for record in &records {
+        assert_eq!(record.get("cached"), Some(&Json::Bool(true)), "{record}");
+    }
+
+    assert_eq!(handle.inner().submit_keys_held(), RETAINED_JOBS);
     handle.begin_drain();
     handle.wait();
 }
