@@ -8,8 +8,6 @@
 //! blocks, buddy splitting/merging, and deliberate fragmentation
 //! injection for experiments.
 
-use std::collections::{BTreeSet, HashMap};
-
 use flatwalk_pt::PhysAllocator;
 use flatwalk_types::rng::SplitMix64;
 use flatwalk_types::{PageSize, PhysAddr};
@@ -51,7 +49,67 @@ impl BuddyStats {
     }
 }
 
+/// The free blocks of one order: a bitmap over that order's block
+/// indices (block `i` starts `i` blocks above the pool base).
+#[derive(Clone)]
+struct FreeList {
+    words: Vec<u64>,
+    /// No word below this index has a bit set.
+    first: usize,
+    len: u64,
+}
+
+impl FreeList {
+    fn new(blocks: u64) -> Self {
+        FreeList {
+            words: vec![0; blocks.div_ceil(64) as usize],
+            first: 0,
+            len: 0,
+        }
+    }
+
+    fn insert(&mut self, idx: u64) {
+        let w = (idx / 64) as usize;
+        self.words[w] |= 1 << (idx % 64);
+        self.first = self.first.min(w);
+        self.len += 1;
+    }
+
+    /// Clears `idx`, returning whether it was set.
+    fn remove(&mut self, idx: u64) -> bool {
+        let (w, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
+        if self.words[w] & bit == 0 {
+            return false;
+        }
+        self.words[w] &= !bit;
+        self.len -= 1;
+        true
+    }
+
+    /// Removes and returns the lowest free index.
+    fn pop_first(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        while self.words[self.first] == 0 {
+            self.first += 1;
+        }
+        let word = self.words[self.first];
+        self.words[self.first] = word & (word - 1);
+        self.len -= 1;
+        Some(self.first as u64 * 64 + word.trailing_zeros() as u64)
+    }
+}
+
 /// A power-of-two buddy allocator.
+///
+/// Each order's free blocks are a bitmap over block indices, scanned
+/// from a lowest-non-empty-word hint, so an allocation always takes the
+/// lowest free address of the smallest order that can serve it and the
+/// choice of block is deterministic. Each live block's order sits in a
+/// dense, zero-allocated table with one byte per 4 KB frame, so
+/// recording and finding a live block is one indexed access. Freeing
+/// anything but the start of a live block panics.
 ///
 /// # Examples
 ///
@@ -67,17 +125,28 @@ impl BuddyStats {
 /// buddy.free(block);
 /// assert_eq!(buddy.free_bytes(), 16 << 20);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct BuddyAllocator {
     base: u64,
     total: u64,
-    /// Free blocks per order (absolute addresses); `BTreeSet` keeps the
-    /// choice of block deterministic (lowest address first).
-    free: Vec<BTreeSet<u64>>,
-    /// Outstanding allocations: address → order.
-    live: HashMap<u64, u32>,
+    /// Free blocks, indexed by order.
+    free: Vec<FreeList>,
+    /// Per 4 KB frame: `order + 1` if a live block starts there, else 0.
+    live: Vec<u8>,
     free_bytes: u64,
     stats: BuddyStats,
+}
+
+impl std::fmt::Debug for BuddyAllocator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BuddyAllocator")
+            .field("base", &self.base)
+            .field("total", &self.total)
+            .field("free_bytes", &self.free_bytes)
+            .field("largest_free_order", &self.largest_free_order())
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl BuddyAllocator {
@@ -93,14 +162,17 @@ impl BuddyAllocator {
             "total must be a power of two ≥ 4 KB"
         );
         assert_eq!(base % total, 0, "base must be aligned to the region size");
-        let max_order = (total / 4096).trailing_zeros();
-        let mut free = vec![BTreeSet::new(); max_order as usize + 1];
-        free[max_order as usize].insert(base);
+        let frames = total / 4096;
+        let max_order = frames.trailing_zeros();
+        let mut free: Vec<FreeList> = (0..=max_order)
+            .map(|o| FreeList::new(frames >> o))
+            .collect();
+        free[max_order as usize].insert(0);
         BuddyAllocator {
             base,
             total,
             free,
-            live: HashMap::new(),
+            live: vec![0; frames as usize],
             free_bytes: total,
             stats: BuddyStats::default(),
         }
@@ -118,9 +190,10 @@ impl BuddyAllocator {
 
     /// The largest order with a free block, if any.
     pub fn largest_free_order(&self) -> Option<u32> {
-        (0..self.free.len() as u32)
+        (0..self.free.len())
             .rev()
-            .find(|&o| !self.free[o as usize].is_empty())
+            .find(|&o| self.free[o].len > 0)
+            .map(|o| o as u32)
     }
 
     /// Request statistics.
@@ -129,22 +202,17 @@ impl BuddyAllocator {
     }
 
     fn alloc_order(&mut self, order: u32) -> Option<u64> {
-        if order as usize >= self.free.len() {
-            return None;
-        }
-        let from = (order..self.free.len() as u32).find(|&o| !self.free[o as usize].is_empty())?;
-        let addr = *self.free[from as usize].iter().next().expect("non-empty");
-        self.free[from as usize].remove(&addr);
+        let order = order as usize;
+        let (from, idx) =
+            (order..self.free.len()).find_map(|o| Some((o, self.free[o].pop_first()?)))?;
+        let offset = idx << (12 + from);
         // Split down to the requested order, returning upper halves.
-        let mut o = from;
-        while o > order {
-            o -= 1;
-            let half = 4096u64 << o;
-            self.free[o as usize].insert(addr + half);
+        for o in (order..from).rev() {
+            self.free[o].insert((offset >> (12 + o)) + 1);
         }
-        self.live.insert(addr, order);
+        self.live[(offset >> 12) as usize] = order as u8 + 1;
         self.free_bytes -= 4096u64 << order;
-        Some(addr)
+        Some(self.base + offset)
     }
 
     /// Frees a block previously returned by [`BuddyAllocator::alloc`],
@@ -152,25 +220,24 @@ impl BuddyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not a live allocation.
+    /// Panics if `addr` is not the start of a live allocation.
     pub fn free(&mut self, addr: PhysAddr) {
-        let mut addr = addr.raw();
-        let mut order = self
-            .live
-            .remove(&addr)
-            .unwrap_or_else(|| panic!("free of unallocated block {addr:#x}"));
+        let frame = addr
+            .raw()
+            .checked_sub(self.base)
+            .filter(|&off| off < self.total && off % 4096 == 0)
+            .map(|off| (off >> 12) as usize)
+            .filter(|&frame| self.live[frame] != 0)
+            .unwrap_or_else(|| panic!("free of unallocated block {:#x}", addr.raw()));
+        let mut order = (self.live[frame] - 1) as usize;
+        self.live[frame] = 0;
         self.free_bytes += 4096u64 << order;
-        let max_order = self.free.len() as u32 - 1;
-        while order < max_order {
-            let size = 4096u64 << order;
-            let buddy = self.base + ((addr - self.base) ^ size);
-            if !self.free[order as usize].remove(&buddy) {
-                break;
-            }
-            addr = addr.min(buddy);
+        let mut idx = (frame >> order) as u64;
+        while order + 1 < self.free.len() && self.free[order].remove(idx ^ 1) {
+            idx >>= 1;
             order += 1;
         }
-        self.free[order as usize].insert(addr);
+        self.free[order].insert(idx);
     }
 
     /// Fragments the free space: transiently allocates every free 4 KB
@@ -179,19 +246,7 @@ impl BuddyAllocator {
     ///
     /// Returns the held frames so the caller can release them later.
     pub fn fragment(&mut self, rng: &mut SplitMix64, hold_fraction: f64) -> Vec<PhysAddr> {
-        let mut taken = Vec::new();
-        while let Some(addr) = self.alloc_order(ORDER_4K) {
-            taken.push(addr);
-        }
-        let mut held = Vec::new();
-        for addr in taken {
-            if rng.chance(hold_fraction) {
-                held.push(PhysAddr::new(addr));
-            } else {
-                self.free(PhysAddr::new(addr));
-            }
-        }
-        held
+        self.fragment_region(rng, hold_fraction, self.total)
     }
 
     /// Bounded variant of [`BuddyAllocator::fragment`] for fault

@@ -219,11 +219,53 @@ impl NodeCensus {
 /// assert_eq!(walk.pa, pa);
 /// assert_eq!(walk.steps.len(), 2); // two flattened levels
 /// ```
+///
+/// # Mapping cursor
+///
+/// `map` remembers the terminal node its last descent reached. When the
+/// next mapping has the same page size and falls under that node, it
+/// writes the entry there directly, with the same `Conflict` check,
+/// instead of re-walking from the root. This is sound because the
+/// pointer entries on the cursor's path change only through this
+/// `Mapper`: `map` never overwrites a present entry, and `promote`
+/// clears the cursor. Writing pointer entries into the store behind
+/// the mapper's back, or mapping into a different store, would leave
+/// the cursor stale.
 #[derive(Debug, Clone)]
 pub struct Mapper {
     layout: Layout,
     table: PageTable,
     census: NodeCensus,
+    cursor: Option<Cursor>,
+}
+
+/// The terminal node of the last descent in [`Mapper::map`].
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// Page size of the mapping that descended here.
+    size: PageSize,
+    /// `va >> (pos_top.index_shift() + 9)`, equal for every VA the node
+    /// covers.
+    prefix: u64,
+    base: PhysAddr,
+    pos_top: Level,
+    depth: u8,
+}
+
+impl Cursor {
+    fn new(size: PageSize, va: VirtAddr, base: PhysAddr, pos_top: Level, depth: u8) -> Self {
+        Cursor {
+            size,
+            prefix: va.raw() >> (pos_top.index_shift() + 9),
+            base,
+            pos_top,
+            depth,
+        }
+    }
+
+    fn covers(&self, va: VirtAddr, size: PageSize) -> bool {
+        self.size == size && va.raw() >> (self.pos_top.index_shift() + 9) == self.prefix
+    }
 }
 
 impl Mapper {
@@ -252,6 +294,7 @@ impl Mapper {
                 top_level: top,
             },
             census,
+            cursor: None,
         })
     }
 
@@ -287,8 +330,70 @@ impl Mapper {
         if va.offset(size) != 0 || pa.offset(size) != 0 {
             return Err(MapError::Misaligned);
         }
-        let translating = size.translating_level();
+        let node = match self.cursor {
+            Some(c) if c.covers(va, size) => c,
+            _ => {
+                let c = self.descend(store, alloc, policy, va, size)?;
+                self.cursor = Some(c);
+                c
+            }
+        };
 
+        let translating = size.translating_level();
+        let pos_bottom = Level::from_rank(node.pos_top.rank() - (node.depth - 1))
+            .expect("node cannot extend below L1");
+        let idx = node_index(va, node.pos_top, node.depth);
+        if translating == pos_bottom {
+            // Terminal entry at this node's bottom position.
+            let entry_pa = node.base.add(idx as u64 * 8);
+            if store.read_pte(entry_pa).is_present() {
+                return Err(MapError::Conflict);
+            }
+            let pte = match size {
+                PageSize::Size4K => Pte::leaf(pa),
+                _ => Pte::large(pa),
+            };
+            store.write_pte(entry_pa, pte);
+            return Ok(());
+        }
+
+        // The natural terminal level was swallowed by this flattened
+        // node: replicate entries (§3.4).
+        if translating.rank() - pos_bottom.rank() != 1 {
+            return Err(MapError::Unrepresentable);
+        }
+        let base_idx = idx & !0x1ff; // va is size-aligned, so the
+                                     // bottom 9 index bits are 0.
+        let chunk = pos_bottom.entry_coverage();
+        for i in 0..512u64 {
+            let slot = node.base.add((base_idx as u64 + i) * 8);
+            if store.read_pte(slot).is_present() {
+                return Err(MapError::Conflict);
+            }
+            let target = pa.add(i * chunk);
+            let pte = if pos_bottom == Level::L1 {
+                Pte::leaf(target)
+            } else {
+                Pte::large(target)
+            };
+            store.write_pte(slot, pte);
+        }
+        self.census.replicated_entries += 512;
+        Ok(())
+    }
+
+    /// Walks from the root to the node holding `va`'s entry for a
+    /// `size` mapping (the first node whose bottom position is at or
+    /// above `size`'s translating level), allocating missing nodes.
+    fn descend(
+        &mut self,
+        store: &mut FrameStore,
+        alloc: &mut dyn PhysAllocator,
+        policy: &dyn FlattenPolicy,
+        va: VirtAddr,
+        size: PageSize,
+    ) -> Result<Cursor, MapError> {
+        let translating = size.translating_level();
         let mut node_base = self.table.root;
         let mut node_shape = self.table.root_shape;
         let mut pos_top = self.table.top_level;
@@ -297,49 +402,11 @@ impl Mapper {
             let depth = node_shape.depth();
             let pos_bottom = Level::from_rank(pos_top.rank() - (depth - 1))
                 .expect("node cannot extend below L1");
-            let idx = node_index(va, pos_top, depth);
-            let entry_pa = node_base.add(idx as u64 * 8);
-
-            if translating == pos_bottom {
-                // Terminal entry at this node's bottom position.
-                if store.read_pte(entry_pa).is_present() {
-                    return Err(MapError::Conflict);
-                }
-                let pte = match size {
-                    PageSize::Size4K => Pte::leaf(pa),
-                    _ => Pte::large(pa),
-                };
-                store.write_pte(entry_pa, pte);
-                return Ok(());
+            if translating >= pos_bottom {
+                return Ok(Cursor::new(size, va, node_base, pos_top, depth));
             }
 
-            if translating > pos_bottom {
-                // The natural terminal level was swallowed by this
-                // flattened node: replicate entries (§3.4).
-                if translating.rank() - pos_bottom.rank() != 1 {
-                    return Err(MapError::Unrepresentable);
-                }
-                let base_idx = idx & !0x1ff; // va is size-aligned, so the
-                                             // bottom 9 index bits are 0.
-                let chunk = pos_bottom.entry_coverage();
-                for i in 0..512u64 {
-                    let slot = node_base.add((base_idx as u64 + i) * 8);
-                    if store.read_pte(slot).is_present() {
-                        return Err(MapError::Conflict);
-                    }
-                    let target = pa.add(i * chunk);
-                    let pte = if pos_bottom == Level::L1 {
-                        Pte::leaf(target)
-                    } else {
-                        Pte::large(target)
-                    };
-                    store.write_pte(slot, pte);
-                }
-                self.census.replicated_entries += 512;
-                return Ok(());
-            }
-
-            // Descend.
+            let entry_pa = node_base.add(node_index(va, pos_top, depth) as u64 * 8);
             let existing = store.read_pte(entry_pa);
             if existing.is_present() {
                 if existing.is_large() {
@@ -361,6 +428,13 @@ impl Mapper {
             // The child node's top is one level below this node's bottom.
             pos_top = pos_bottom.child().expect("descending above L1");
         }
+    }
+
+    /// Forgets the mapping cursor, so the next `map` descends from the
+    /// root.
+    #[cfg(test)]
+    fn forget_cursor(&mut self) {
+        self.cursor = None;
     }
 }
 
@@ -387,6 +461,9 @@ impl Mapper {
         va: VirtAddr,
         top: Level,
     ) -> Result<(), PromoteError> {
+        // Promotion swings pointer entries, which may lie on the
+        // cursor's path.
+        self.cursor = None;
         if top == Level::L1 || top.rank() > self.table.top_level.rank() {
             return Err(PromoteError::BadLevel);
         }
@@ -891,6 +968,170 @@ mod tests {
             } else {
                 // root + 1 L3 + 1 L2 + 64 L1 nodes
                 assert_eq!(c.conventional_nodes, 3 + 64, "{c:?}");
+            }
+        }
+    }
+
+    /// The mapping cursor is an optimization only: replaying a map
+    /// sequence with the cursor forgotten before every call (so every
+    /// call descends from the root) must give the same results, the
+    /// same walks and the same table shape.
+    mod cursor_props {
+        use super::*;
+        use crate::PhysAllocator;
+        use proptest::prelude::*;
+
+        /// 1 GB regions the generated VAs fall in; the last sits under
+        /// a different top-level entry.
+        const REGIONS: [u64; 3] = [0x10_0000_0000, 0x10_4000_0000, 0x7fff_c000_0000];
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            /// `count` consecutive 4 KB pages from `va`.
+            Map4K {
+                va: u64,
+                count: u64,
+            },
+            Map2M {
+                va: u64,
+            },
+            Promote {
+                va: u64,
+                top: Level,
+            },
+        }
+
+        #[derive(Debug, PartialEq)]
+        enum Outcome {
+            Map(Result<(), MapError>),
+            Promote(Result<(), PromoteError>),
+        }
+
+        /// Decodes one generated step. A promotion is followed by a
+        /// run of 4 KB mappings from the promoted VA, which is where a
+        /// cursor left stale by the promotion would write.
+        fn decode((kind, slot, extra): (u8, u64, u64)) -> Vec<Op> {
+            let region = REGIONS[(slot % 3) as usize] + ((slot / 3) << 21);
+            let page = region + (extra % 512) * 4096;
+            let run = Op::Map4K {
+                va: page,
+                count: 1 + (extra / 512) % 64,
+            };
+            match kind {
+                0..=2 => vec![Op::Map4K { va: page, count: 1 }],
+                3..=5 => vec![run],
+                6 | 7 => vec![Op::Map2M { va: region }],
+                _ => {
+                    let top = [Level::L2, Level::L3, Level::L4][(extra % 3) as usize];
+                    vec![Op::Promote { va: page, top }, run]
+                }
+            }
+        }
+
+        struct Run {
+            outcomes: Vec<Outcome>,
+            mapped: Vec<VirtAddr>,
+            store: FrameStore,
+            mapper: Mapper,
+        }
+
+        fn replay(
+            layout: &Layout,
+            nf: &NfRegions,
+            refuse_2m: bool,
+            ops: &[Op],
+            forget: bool,
+        ) -> Run {
+            let bump = BumpAllocator::new(0x4000_0000);
+            let mut alloc: Box<dyn PhysAllocator> = if refuse_2m {
+                Box::new(No2MbAllocator(bump))
+            } else {
+                Box::new(bump)
+            };
+            let mut store = FrameStore::new();
+            let mapper = Mapper::new(&mut store, &mut *alloc, layout.clone(), nf).unwrap();
+            let mut run = Run {
+                outcomes: Vec::new(),
+                mapped: Vec::new(),
+                store,
+                mapper,
+            };
+            // Data frames live far above the node allocator's range.
+            let mut next_pa = 0x100_0000_0000u64;
+            for &op in ops {
+                let (first, count, size) = match op {
+                    Op::Map4K { va, count } => (va, count, PageSize::Size4K),
+                    Op::Map2M { va } => (va, 1, PageSize::Size2M),
+                    Op::Promote { va, top } => {
+                        let va = VirtAddr::new(va);
+                        let result = run.mapper.promote(&mut run.store, &mut *alloc, va, top);
+                        run.outcomes.push(Outcome::Promote(result));
+                        continue;
+                    }
+                };
+                for i in 0..count {
+                    if forget {
+                        run.mapper.forget_cursor();
+                    }
+                    let va = VirtAddr::new(first + i * 4096);
+                    let pa = PhysAddr::new(next_pa);
+                    next_pa += 2 << 20;
+                    let result = run
+                        .mapper
+                        .map(&mut run.store, &mut *alloc, nf, va, pa, size);
+                    if result.is_ok() {
+                        run.mapped.push(va);
+                        if size == PageSize::Size2M {
+                            run.mapped.push(va.add(0x12_3000));
+                        }
+                    }
+                    run.outcomes.push(Outcome::Map(result));
+                }
+            }
+            run
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn cursor_matches_root_descent(
+                setup in (0u8..3, 0u64..8, 0u8..2),
+                ops in prop::collection::vec((0u8..9, 0u64..6, 0u64..32768), 1..40),
+            ) {
+                let (layout_pick, nf_mask, refuse) = setup;
+                let layout = [
+                    Layout::conventional4(),
+                    Layout::flat_l4l3_l2l1(),
+                    Layout::flat5_l5l4_l3l2(),
+                ][layout_pick as usize]
+                    .clone();
+                let mut nf = NfRegions::new();
+                for (i, &region) in REGIONS.iter().enumerate() {
+                    if nf_mask & (1 << i) != 0 {
+                        nf.mark(VirtAddr::new(region));
+                    }
+                }
+                let ops: Vec<Op> = ops.into_iter().flat_map(decode).collect();
+                let fast = replay(&layout, &nf, refuse == 1, &ops, false);
+                let slow = replay(&layout, &nf, refuse == 1, &ops, true);
+
+                prop_assert_eq!(fast.outcomes.len(), slow.outcomes.len());
+                for (i, (a, b)) in fast.outcomes.iter().zip(&slow.outcomes).enumerate() {
+                    prop_assert_eq!(a, b, "call {} of {:?}", i, ops);
+                }
+                prop_assert_eq!(fast.mapper.table(), slow.mapper.table());
+                prop_assert_eq!(fast.mapper.census(), slow.mapper.census());
+                prop_assert_eq!(
+                    fast.store.materialized_frames(),
+                    slow.store.materialized_frames()
+                );
+                for &va in &fast.mapped {
+                    let a = resolve(&fast.store, fast.mapper.table(), va);
+                    let b = resolve(&slow.store, slow.mapper.table(), va);
+                    prop_assert!(a.is_ok(), "mapped {va:?} does not resolve: {a:?}");
+                    prop_assert_eq!(a, b, "walks differ at {:?}", va);
+                }
             }
         }
     }

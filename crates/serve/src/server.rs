@@ -868,6 +868,14 @@ impl ServerInner {
             // Dropping `writes` closes its queue; the scope then joins
             // the writer once every queued entry is durable.
         });
+        // Op-count overrides give this job's cells access streams that
+        // no default-length grid shares, and the result cache answers a
+        // resubmit; drop them so distinct overrides do not accumulate.
+        if job.spec.warmup_ops.is_some() || job.spec.measure_ops.is_some() {
+            if let Some(cell) = job.cells.first() {
+                flatwalk_sim::setup::evict_streams(cell.sim_ops());
+            }
+        }
         self.finish_job(job, Some(run_started.elapsed().as_nanos() as u64));
     }
 
@@ -1843,6 +1851,26 @@ mod tests {
                 String::from_utf8_lossy(write)
             );
         }
+        handle.begin_drain();
+        handle.wait();
+    }
+
+    #[test]
+    fn a_job_with_op_overrides_leaves_no_stream_cached() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        let mut spec = JobSpec::new("sec71_pwc", flatwalk_bench::Mode::Quick);
+        spec.warmup_ops = Some(100);
+        spec.measure_ops = Some(437);
+        spec.footprint_divisor = Some(4096);
+        let mut w = crate::proto::tests::RecordingWriter::default();
+        serve_connection(
+            Arc::clone(handle.inner()),
+            spec.to_request_line(true).as_bytes(),
+            &mut w,
+        );
+        let cells = spec.resolve().expect("known grid").len() as u64;
+        assert_eq!(handle.inner().cells_executed(), cells);
+        assert_eq!(flatwalk_sim::setup::evict_streams(537), 0);
         handle.begin_drain();
         handle.wait();
     }

@@ -207,9 +207,40 @@ pub fn clear_setup_cache() -> u64 {
     c.virt.clear();
     c.multicore.clear();
     c.streams.clear();
+    count_evictions(evicted);
+    evicted
+}
+
+/// Drops every cached access-stream prefix of exactly `ops` operations,
+/// returning how many were dropped (counted as evictions, like
+/// [`clear_setup_cache`]); frozen spaces and other op counts stay.
+/// Experiment grids keep their streams for the life of the process, as
+/// their cells reuse them. A long-lived `flatwalk-serve` calls this
+/// after a job with op-count overrides, whose streams nothing else is
+/// likely to reuse, so that distinct overrides do not accumulate one
+/// block each. A dropped stream requested again is regenerated,
+/// identical to the first.
+pub fn evict_streams(ops: u64) -> u64 {
+    let mut evicted = 0;
+    caches().streams.retain_rebuild(|snap| {
+        if !snap.keys().any(|key| key.ops == ops) {
+            return None;
+        }
+        let kept: std::collections::HashMap<_, _> = snap
+            .iter()
+            .filter(|(key, _)| key.ops != ops)
+            .map(|(key, slot)| (key.clone(), Arc::clone(slot)))
+            .collect();
+        evicted += (snap.len() - kept.len()) as u64;
+        Some(kept)
+    });
+    count_evictions(evicted);
+    evicted
+}
+
+fn count_evictions(evicted: u64) {
     EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
     flatwalk_obs::metrics::add_global("setup.cache.evictions", evicted);
-    evicted
 }
 
 thread_local! {
@@ -690,6 +721,28 @@ mod tests {
         for _ in 0..4_000 {
             assert_eq!(replayed.next_va(), synthetic.next_va());
         }
+        set_cache_override(None);
+    }
+
+    #[test]
+    fn evicted_streams_regenerate_identically() {
+        let _guard = override_lock();
+        set_cache_override(Some(true));
+        let gups = WorkloadSpec::gups().scaled_mib(16);
+        let mcf = WorkloadSpec::mcf().scaled_mib(16);
+        let (one_off, kept) = (3_137, 3_138);
+        let first = stream_offsets(&gups, one_off);
+        stream_offsets(&mcf, one_off);
+        let other = stream_offsets(&gups, kept);
+        assert_eq!(evict_streams(one_off), 2, "both workloads at that op count");
+        assert_eq!(evict_streams(one_off), 0);
+        assert!(
+            Arc::ptr_eq(&other, &stream_offsets(&gups, kept)),
+            "other op counts stay cached"
+        );
+        let again = stream_offsets(&gups, one_off);
+        assert!(!Arc::ptr_eq(&first, &again), "the evicted block is rebuilt");
+        assert_eq!(first, again, "a regenerated block replays identically");
         set_cache_override(None);
     }
 

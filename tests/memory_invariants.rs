@@ -1,13 +1,152 @@
 //! Property tests on the memory substrates: the cache model and the
 //! buddy allocator.
 
+use std::collections::{BTreeSet, HashMap};
+
 use proptest::prelude::*;
 
 use flatwalk::faults::FaultyAllocator;
 use flatwalk::mem::{Cache, CacheConfig};
-use flatwalk::os::BuddyAllocator;
+use flatwalk::os::{BuddyAllocator, BuddyStats};
 use flatwalk::pt::PhysAllocator;
+use flatwalk::types::rng::SplitMix64;
 use flatwalk::types::{AccessKind, OwnerId, PageSize, PhysAddr};
+
+/// Reference model of the buddy allocator, written as plainly as
+/// possible: a `BTreeSet` of free addresses per order and a `HashMap`
+/// of live blocks. `BuddyAllocator` must make exactly this model's
+/// choices.
+struct ReferenceBuddy {
+    base: u64,
+    free: Vec<BTreeSet<u64>>,
+    live: HashMap<u64, u32>,
+    free_bytes: u64,
+    stats: BuddyStats,
+}
+
+impl ReferenceBuddy {
+    fn new(base: u64, total: u64) -> Self {
+        let max_order = (total / 4096).trailing_zeros() as usize;
+        let mut free = vec![BTreeSet::new(); max_order + 1];
+        free[max_order].insert(base);
+        ReferenceBuddy {
+            base,
+            free,
+            live: HashMap::new(),
+            free_bytes: total,
+            stats: BuddyStats::default(),
+        }
+    }
+
+    fn alloc_order(&mut self, order: usize) -> Option<u64> {
+        let from = (order..self.free.len()).find(|&o| !self.free[o].is_empty())?;
+        let addr = self.free[from].pop_first().expect("non-empty");
+        for o in (order..from).rev() {
+            self.free[o].insert(addr + (4096u64 << o));
+        }
+        self.live.insert(addr, order as u32);
+        self.free_bytes -= 4096u64 << order;
+        Some(addr)
+    }
+
+    fn alloc(&mut self, size: PageSize) -> Option<u64> {
+        let order = match size {
+            PageSize::Size4K => 0,
+            PageSize::Size2M => 9,
+            PageSize::Size1G => 18,
+        };
+        let result = self.alloc_order(order);
+        let slot = match size {
+            PageSize::Size4K => &mut self.stats.small,
+            PageSize::Size2M => &mut self.stats.huge,
+            PageSize::Size1G => &mut self.stats.giant,
+        };
+        slot.0 += 1;
+        if result.is_none() {
+            slot.1 += 1;
+        }
+        result
+    }
+
+    fn free(&mut self, mut addr: u64) {
+        let mut order = self.live.remove(&addr).expect("live block") as usize;
+        self.free_bytes += 4096u64 << order;
+        while order + 1 < self.free.len() {
+            let buddy = self.base + ((addr - self.base) ^ (4096u64 << order));
+            if !self.free[order].remove(&buddy) {
+                break;
+            }
+            addr = addr.min(buddy);
+            order += 1;
+        }
+        self.free[order].insert(addr);
+    }
+
+    fn largest_free_order(&self) -> Option<u32> {
+        (0..self.free.len())
+            .rev()
+            .find(|&o| !self.free[o].is_empty())
+            .map(|o| o as u32)
+    }
+
+    fn fragment_region(&mut self, rng: &mut SplitMix64, hold: f64, max_bytes: u64) -> Vec<u64> {
+        let budget = (max_bytes / 4096).max(1);
+        let mut taken = Vec::new();
+        while (taken.len() as u64) < budget {
+            let Some(addr) = self.alloc_order(0) else {
+                break;
+            };
+            taken.push(addr);
+        }
+        let mut held = Vec::new();
+        for addr in taken {
+            if rng.chance(hold) {
+                held.push(addr);
+            } else {
+                self.free(addr);
+            }
+        }
+        held
+    }
+}
+
+/// Pools (base, bytes) for the differential test: zero and nonzero
+/// bases, small enough for 1 GB requests to fail and large enough for
+/// them to succeed.
+const POOLS: [(u64, u64); 3] = [(0, 64 << 20), (48 << 20, 16 << 20), (1 << 30, 1 << 30)];
+
+#[test]
+#[should_panic(expected = "free of unallocated block")]
+fn free_below_base_panics() {
+    let mut b = BuddyAllocator::new(1 << 30, 1 << 30);
+    b.alloc(PageSize::Size4K).unwrap();
+    b.free(PhysAddr::new(0x1000));
+}
+
+#[test]
+#[should_panic(expected = "free of unallocated block")]
+fn free_past_pool_panics() {
+    let mut b = BuddyAllocator::new(1 << 30, 1 << 30);
+    b.alloc(PageSize::Size4K).unwrap();
+    b.free(PhysAddr::new(2 << 30));
+}
+
+#[test]
+#[should_panic(expected = "free of unallocated block")]
+fn free_inside_live_block_panics() {
+    let mut b = BuddyAllocator::new(0, 16 << 20);
+    let block = b.alloc(PageSize::Size2M).unwrap();
+    b.free(block.add(0x1000));
+}
+
+#[test]
+#[should_panic(expected = "free of unallocated block")]
+fn double_free_panics() {
+    let mut b = BuddyAllocator::new(48 << 20, 16 << 20);
+    let block = b.alloc(PageSize::Size4K).unwrap();
+    b.free(block);
+    b.free(block);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -192,5 +331,54 @@ proptest! {
         prop_assert!(s.small.0 >= s.small.1, "4K attempts < failures");
         prop_assert!(s.huge.0 >= s.huge.1, "2M attempts < failures");
         prop_assert!(s.giant.0 >= s.giant.1, "1G attempts < failures");
+    }
+
+    /// The allocator makes exactly the reference model's choices: the
+    /// same address for every request, and the same free bytes, largest
+    /// free order and statistics after every step, through random
+    /// 4K/2M/1G requests, frees of live blocks and fragmentation
+    /// campaigns.
+    #[test]
+    fn buddy_matches_reference_model(
+        pool in 0usize..3,
+        ops in prop::collection::vec((0u8..6, 0u64..1 << 20), 1..120),
+    ) {
+        let (base, total) = POOLS[pool];
+        let mut buddy = BuddyAllocator::new(base, total);
+        let mut model = ReferenceBuddy::new(base, total);
+        let mut live: Vec<u64> = Vec::new();
+        for (kind, x) in ops {
+            match kind {
+                0..=3 => {
+                    let size = [PageSize::Size4K, PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
+                        [kind as usize];
+                    let got = buddy.alloc(size).map(PhysAddr::raw);
+                    prop_assert_eq!(got, model.alloc(size), "alloc {:?}", size);
+                    live.extend(got);
+                }
+                4 => {
+                    if !live.is_empty() {
+                        let addr = live.swap_remove(x as usize % live.len());
+                        buddy.free(PhysAddr::new(addr));
+                        model.free(addr);
+                    }
+                }
+                _ => {
+                    let hold = (x % 50) as f64 / 100.0;
+                    let max_bytes = ((x >> 6) % 1024 + 1) * 4096;
+                    let held: Vec<u64> = buddy
+                        .fragment_region(&mut SplitMix64::new(x), hold, max_bytes)
+                        .into_iter()
+                        .map(PhysAddr::raw)
+                        .collect();
+                    let expect = model.fragment_region(&mut SplitMix64::new(x), hold, max_bytes);
+                    prop_assert_eq!(&held, &expect, "fragment_region");
+                    live.extend(held);
+                }
+            }
+            prop_assert_eq!(buddy.free_bytes(), model.free_bytes);
+            prop_assert_eq!(buddy.largest_free_order(), model.largest_free_order());
+            prop_assert_eq!(buddy.stats(), model.stats);
+        }
     }
 }
