@@ -10,6 +10,20 @@
 //! * **No NaN/Inf leakage** — JSON has no encoding for non-finite
 //!   numbers; [`Json::f64`] maps them to `null` instead of emitting
 //!   text that `jq`/`python` would reject.
+//!
+//! The parser, [`parse`], is on the serving path as well: it decodes
+//! every `flatwalk-serve` request, every result-store entry header,
+//! every event line `flatwalk-client` reads and every trace line
+//! `flatwalk-trace` reads. Two properties keep any one line cheap,
+//! whoever sent it:
+//!
+//! * **Linear time** — a string is copied run by run between escapes,
+//!   so each byte of a string is searched once and UTF-8-validated
+//!   once.
+//! * **Bounded nesting** — arrays and objects nest at most 128 levels
+//!   deep, so a deeply nested line is a [`ParseError`], not a stack
+//!   overflow. The deepest documents the repository writes, the
+//!   `--json` reports, nest at most 8 levels (`numa_rivals`).
 
 use std::fmt::Write as _;
 
@@ -241,22 +255,26 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a JSON document (used by round-trip tests and the CI smoke;
-/// the writer is the production path).
+/// Parses a JSON document in time linear in its length.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// arrays and objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
     }
     Ok(value)
 }
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. It bounds
+/// the parser's recursion far below what a thread's stack holds.
+const MAX_DEPTH: usize = 128;
 
 fn err(offset: usize, message: &'static str) -> ParseError {
     ParseError { offset, message }
@@ -277,10 +295,12 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8, message: &'static str) -> Result
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(*pos, "nesting too deep")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -294,7 +314,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -319,7 +339,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':', "expected ':'")?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -353,13 +373,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     expect(bytes, pos, b'"', "expected '\"'")?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next delimiter in one slice. Both
+        // delimiters are ASCII, so the run starts and ends on char
+        // boundaries of the `&str` input, and each byte is validated
+        // once: the parse stays linear in the input.
+        let end = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| err(*pos, "invalid UTF-8"))?;
+        out.push_str(run);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -386,18 +418,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 char (input is a &str, so this is
-                // always a valid boundary walk).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = s
-                    .chars()
-                    .next()
-                    .ok_or_else(|| err(*pos, "unterminated string"))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -502,6 +522,109 @@ mod tests {
                 other => panic!("expected float from {s}, got {other:?}"),
             }
         }
+    }
+
+    /// SplitMix64: the seeded stream behind the generated cases below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A char from ASCII, 2-, 3- or 4-byte UTF-8, the raw control
+    /// characters, or the two string delimiters.
+    fn random_char(state: &mut u64) -> char {
+        let r = splitmix(state);
+        let pick = |lo: u64, hi: u64| lo + (r >> 8) % (hi - lo + 1);
+        let code = match r % 6 {
+            0 => pick(0x20, 0x7e),
+            1 => pick(0x80, 0x7ff),
+            2 => pick(0x800, 0xffff),
+            3 => pick(0x1_0000, 0x10_ffff),
+            4 => pick(0x00, 0x1f),
+            _ => [u64::from(b'"'), u64::from(b'\\')][(r >> 8) as usize % 2],
+        };
+        // The 3-byte range holds the surrogates, which are not chars.
+        char::from_u32(code as u32).unwrap_or('\u{e000}')
+    }
+
+    #[test]
+    fn generated_strings_round_trip() {
+        let mut state = 14;
+        for case in 0..2000 {
+            let len = splitmix(&mut state) % 24;
+            let mut s: String = (0..len).map(|_| random_char(&mut state)).collect();
+            // Escapes first, last and back to back, whatever was drawn.
+            match case % 4 {
+                0 => s.insert(0, '"'),
+                1 => s.push('\\'),
+                2 => {
+                    let mid = s
+                        .char_indices()
+                        .nth(len as usize / 2)
+                        .map_or(s.len(), |(i, _)| i);
+                    s.insert_str(mid, "\\\"\n\u{1}\t");
+                }
+                _ => {}
+            }
+            let mut o = Json::obj();
+            o.push(&s, Json::Array(vec![Json::Str(s.clone()), Json::Null]));
+            let text = o.to_string();
+            assert_eq!(parse(&text), Ok(o), "case {case}: {text:?}");
+        }
+    }
+
+    #[test]
+    fn parses_every_escape_and_rejects_bad_ones() {
+        let v = parse(r#""\"\\\/\n\r\t\b\fé✓\ud800x""#).unwrap();
+        assert_eq!(v, Json::Str("\"\\/\n\r\t\u{8}\u{c}é✓\u{fffd}x".into()));
+        for (text, offset, message) in [
+            (r#""abc"#, 4, "unterminated string"),
+            (r#""a\"#, 3, "bad escape"),
+            (r#""a\x""#, 3, "bad escape"),
+            (r#""a\u12x""#, 3, "bad \\u escape"),
+            (r#""a\u12"#, 3, "truncated \\u escape"),
+            (r#"{"k✓":"v"x}"#, 11, "expected ',' or '}'"),
+        ] {
+            assert_eq!(parse(text), Err(err(offset, message)), "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for (deep, offset) in [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+            // Far deeper than any thread's stack could recurse.
+            ("[".repeat(1_000_000), MAX_DEPTH),
+        ] {
+            assert_eq!(parse(&deep), Err(err(offset, "nesting too deep")));
+        }
+    }
+
+    #[test]
+    fn large_inputs_parse_in_linear_time() {
+        let unit = "walk✓ \"hit\"\n";
+        let long = Json::Str(unit.repeat((4 << 20) / unit.len() + 1));
+        let many = Json::Array((0..100_000).map(|i| Json::Str(format!("c{i}"))).collect());
+        let texts = [long.to_string(), many.to_string()];
+        // Parse on another thread so a quadratic parser fails the
+        // bound instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(texts.map(|text| parse(&text)));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("4 MiB and 100 000 strings parsed within 2 s");
+        parser.join().expect("parser thread");
+        assert_eq!(parsed, [Ok(long), Ok(many)]);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! on TCP streams, so no line waits on a timer. Every reply carries
 //! `"ok"`: errors are `{"ok":false,"error":<kind>,"detail":…}` with
 //! `kind` ∈ `bad_request` | `overloaded` | `draining` | `not_found`.
+//! A request whose arrays and objects nest more than 128 levels deep
+//! is a `bad_request`; a request line longer than 1 MiB is answered
+//! with one `bad_request`, and the server then closes the connection.
 //!
 //! Requests:
 //!

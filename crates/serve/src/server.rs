@@ -73,6 +73,12 @@ use crate::store::ResultStore;
 /// first. Queued and running jobs are always kept.
 pub const RETAINED_JOBS: usize = 128;
 
+/// Longest request line a connection reads, in bytes (real requests
+/// are under 1 KB). A longer line is answered with one `bad_request`
+/// and its connection is closed, so no client can make the server
+/// buffer an unbounded line.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Pause after a failed `accept` (out of file descriptors, say), so
 /// the accept loop does not spin on a persistent error.
 const ACCEPT_RETRY: Duration = Duration::from_millis(25);
@@ -1316,14 +1322,19 @@ impl<'scope, 'env> StoreWrites<'scope, 'env> {
     }
 }
 
-/// Handles one request; returns `false` when the connection should
+/// Handles one request line, or the rejection of one (`Err` carries a
+/// `bad_request` detail); returns `false` when the connection should
 /// close (write failure). Every request — including a streaming submit
 /// or watch, end to end — is timed into the per-op latency histograms
 /// and covered by a `serve.request` span.
-fn handle_request(inner: &Arc<ServerInner>, line: &str, w: &mut impl Write) -> bool {
+fn handle_request(
+    inner: &Arc<ServerInner>,
+    line: Result<&str, String>,
+    w: &mut impl Write,
+) -> bool {
     let started = Instant::now();
     let _req_span = span::enter("serve.request");
-    let parsed = proto::parse_request(line);
+    let parsed = line.and_then(proto::parse_request);
     let op = match &parsed {
         Ok(req) => req.op_name(),
         Err(_) => "bad_request",
@@ -1414,13 +1425,30 @@ fn dispatch_request(
 }
 
 fn serve_connection(inner: Arc<ServerInner>, reader: impl Read, mut writer: impl Write) {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(reader);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let detail = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            handle_request(&inner, Err(detail), &mut writer);
+            // Read out the rest of the line: a socket closed with
+            // unread input sends the client a reset instead of EOF.
+            let _ = reader.skip_until(b'\n');
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        if !handle_request(&inner, &line, &mut writer) {
+        if !handle_request(&inner, Ok(line), &mut writer) {
             break;
         }
     }
@@ -1817,6 +1845,49 @@ mod tests {
                 .unwrap_or_else(|_| panic!("{case}: begin_drain + wait took over 1 s"));
             waiter.join().expect("waiter thread");
         }
+    }
+
+    #[test]
+    fn a_too_deeply_nested_request_is_a_bad_request() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        let addr = handle.addr().expect("tcp enabled").to_string();
+        let mut conn = crate::client::Connection::connect_tcp(&addr).expect("tcp connect");
+        let deep = format!("{{\"op\":{}", "[".repeat(20_000));
+        let reply = conn.request(&deep).expect("a reply, not a crash");
+        assert!(
+            reply.contains(r#""error":"bad_request""#) && reply.contains("nesting too deep"),
+            "{reply}"
+        );
+        let pong = conn.request(r#"{"op":"ping"}"#).expect("same connection");
+        assert!(pong.contains(r#""ok":true"#), "{pong}");
+        handle.begin_drain();
+        handle.wait();
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_refused_and_its_connection_closed() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        let addr = handle.addr().expect("tcp enabled").to_string();
+        let mut stream = std::net::TcpStream::connect(&addr).expect("tcp connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        write_line(&mut stream, &"x".repeat(2 << 20)).expect("the server reads the whole line");
+        // One error line, then EOF (a reset would fail the read).
+        let mut replies = String::new();
+        stream
+            .read_to_string(&mut replies)
+            .expect("reply, then EOF");
+        assert_eq!(replies.lines().count(), 1, "{replies}");
+        assert!(
+            replies.contains(r#""error":"bad_request""#) && replies.contains("longer than"),
+            "{replies}"
+        );
+        let mut conn = crate::client::Connection::connect_tcp(&addr).expect("tcp connect");
+        let pong = conn.request(r#"{"op":"ping"}"#).expect("a new connection");
+        assert!(pong.contains(r#""ok":true"#), "{pong}");
+        handle.begin_drain();
+        handle.wait();
     }
 
     #[test]

@@ -523,6 +523,23 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_whose_header_nests_too_deep_is_quarantined_on_open() {
+        let dir = tempdir("deep-header");
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            store.put("good", &cell("{\"g\":1}"));
+        }
+        let deep = entry_path(&dir, "deep");
+        fs::create_dir_all(deep.parent().unwrap()).unwrap();
+        let header = format!("{{\"schema\":{}", "[".repeat(100_000));
+        fs::write(&deep, format!("{header}\ndeep\n{{}}\n")).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!((store.recovered(), store.quarantined()), (1, 1));
+        assert!(!deep.exists(), "the entry moved to quarantine/");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corruption_after_open_is_caught_on_read() {
         let dir = tempdir("read-verify");
         let store = ResultStore::open(&dir).unwrap();
