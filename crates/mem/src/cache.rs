@@ -42,7 +42,8 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero ways, capacity not a
-    /// multiple of `ways * 64`, or a non-power-of-two set count).
+    /// multiple of `ways * 64`, or a non-power-of-two set count) or if
+    /// `ways` exceeds [`Cache::MAX_WAYS`].
     pub fn new(name: &'static str, size_bytes: u64, ways: usize, latency: u64) -> Self {
         let cfg = CacheConfig {
             name,
@@ -64,8 +65,9 @@ impl CacheConfig {
             cfg.sets()
         );
         assert!(
-            ways <= 64,
-            "at most 64 ways (validity is a per-set u64 bitmask)"
+            ways <= Cache::MAX_WAYS,
+            "at most {} ways (the per-set recency order keeps 4 bits per way)",
+            Cache::MAX_WAYS
         );
         cfg
     }
@@ -88,23 +90,91 @@ impl CacheConfig {
     }
 }
 
-/// One resident line's replacement bookkeeping (everything a probe does
-/// *not* need to compare against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineMeta {
-    kind: AccessKind,
-    owner: OwnerId,
-    /// LRU timestamp (larger = more recent).
-    stamp: u64,
+/// One set's replacement state: 32 B for up to [`Cache::MAX_WAYS`] ways.
+///
+/// `order` lists the valid ways by recency, most recent first, one 4-bit
+/// way index per position (position `i` is bits `4i..4i + 4`). Only the
+/// first `valid.count_ones()` positions are meaningful; the rest hold
+/// leftovers that nothing reads.
+#[derive(Debug, Clone, Copy)]
+struct SetState {
+    order: u64,
+    /// Bit `w` set ⇔ way `w` holds a line.
+    valid: u16,
+    /// Bit `w` set ⇔ way `w` holds a page-table line.
+    pt: u16,
+    /// Owner of each way's line (meaningful where `valid` is set).
+    owners: [OwnerId; Cache::MAX_WAYS],
 }
 
-impl LineMeta {
-    /// Placeholder occupying ways whose validity bit is clear.
-    const EMPTY: LineMeta = LineMeta {
-        kind: AccessKind::Data,
-        owner: OwnerId::SINGLE,
-        stamp: 0,
+const _: () = assert!(std::mem::size_of::<SetState>() == 32);
+
+impl SetState {
+    const EMPTY: SetState = SetState {
+        order: 0,
+        valid: 0,
+        pt: 0,
+        owners: [OwnerId::SINGLE; Cache::MAX_WAYS],
     };
+
+    /// Way at recency position `pos` (0 = most recent).
+    #[inline]
+    fn way_at(&self, pos: usize) -> usize {
+        (self.order >> (4 * pos)) as usize & 0xF
+    }
+
+    /// Moves the valid `way` to the front of the recency order.
+    #[inline]
+    fn touch(&mut self, way: usize) {
+        const ONES: u64 = 0x1111_1111_1111_1111;
+        // Nibbles equal to `way` become zero. The lowest zero nibble is
+        // exact (borrows only run upward), and `way` sits among the
+        // valid positions, below any leftover that might also match.
+        let x = self.order ^ (way as u64).wrapping_mul(ONES);
+        let zeros = x.wrapping_sub(ONES) & !x & (ONES << 3);
+        let pos = zeros.trailing_zeros() as usize / 4;
+        // Positions 0..pos move back one; `way` takes position 0.
+        let span = (2u64 << (4 * pos + 3)).wrapping_sub(1);
+        self.order = (self.order & !span) | ((self.order << 4) & span) | way as u64;
+    }
+
+    /// Records the kind and owner of the line just placed in `way`.
+    #[inline]
+    fn install_meta(&mut self, way: usize, kind: AccessKind, owner: OwnerId) {
+        let bit = 1u16 << way;
+        match kind {
+            AccessKind::PageTable => self.pt |= bit,
+            AccessKind::Data => self.pt &= !bit,
+        }
+        self.owners[way] = owner;
+    }
+
+    /// Kind of the line in `way`.
+    #[inline]
+    fn kind(&self, way: usize) -> AccessKind {
+        if self.pt & (1 << way) != 0 {
+            AccessKind::PageTable
+        } else {
+            AccessKind::Data
+        }
+    }
+
+    /// The priority-phase victim of a full set of `ways`: the LRU data
+    /// line of `owner`, else the LRU data line, else the LRU line.
+    #[inline]
+    fn biased_victim(&self, ways: usize, owner: OwnerId) -> usize {
+        let mut any_data = None;
+        for pos in (0..ways).rev() {
+            let way = self.way_at(pos);
+            if self.pt & (1 << way) == 0 {
+                if self.owners[way] == owner {
+                    return way;
+                }
+                any_data.get_or_insert(way);
+            }
+        }
+        any_data.unwrap_or_else(|| self.way_at(ways - 1))
+    }
 }
 
 /// A line evicted by a fill.
@@ -158,22 +228,21 @@ impl CacheStats {
 /// The model tracks tags only (no data payloads) and uses true-LRU
 /// replacement, optionally biased to retain page-table lines
 /// (see [`Cache::fill`]).
+///
+/// Tags live in one dense `u64` slab so the probe scan — the simulator's
+/// single hottest loop — walks a contiguous run (an 8-way set is one host
+/// cache line). Everything else a set needs (validity, kinds, owners and
+/// the recency order) is one 32 B record per set, so a hit rewrites one
+/// word and a victim search reads one record instead of a stamp per way.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Line addresses in one contiguous slab, set-major: way `w` of set
-    /// `s` lives at `s * ways + w`. The tag addresses live apart from
-    /// the replacement metadata so the probe scan — the simulator's
-    /// single hottest loop — walks a dense `u64` run (a 16-way set is
-    /// two host cache lines instead of six).
+    /// Line addresses, set-major: way `w` of set `s` lives at
+    /// `s * ways + w`; meaningful where the set's validity bit is set.
     lines: Box<[u64]>,
-    /// Replacement bookkeeping, same indexing as `lines`; touched only
-    /// on hits (stamp refresh) and fills (victim selection).
-    meta: Box<[LineMeta]>,
-    /// Per-set validity bitmask; bit `w` set ⇔ way `w` holds a line.
-    valid: Box<[u64]>,
+    /// Replacement state, one record per set.
+    sets: Box<[SetState]>,
     set_mask: u64,
-    clock: u64,
     rng: SplitMix64,
     stats: CacheStats,
 }
@@ -184,15 +253,28 @@ impl Cache {
     /// choose to evict data over page table entries").
     pub const PT_PRIORITY_PROB: f64 = 0.99;
 
+    /// Highest associativity the model supports: each set's recency order
+    /// keeps one 4-bit way index per position in a `u64`. Every preset
+    /// uses 4, 8 or 16 ways.
+    pub const MAX_WAYS: usize = 16;
+
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ways` exceeds [`Cache::MAX_WAYS`] (possible only for
+    /// a config not built by [`CacheConfig::new`]).
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.ways <= Self::MAX_WAYS,
+            "at most {} ways",
+            Self::MAX_WAYS
+        );
         let sets = cfg.sets();
         Cache {
             lines: vec![0u64; sets * cfg.ways].into_boxed_slice(),
-            meta: vec![LineMeta::EMPTY; sets * cfg.ways].into_boxed_slice(),
-            valid: vec![0u64; sets].into_boxed_slice(),
+            sets: vec![SetState::EMPTY; sets].into_boxed_slice(),
             set_mask: sets as u64 - 1,
-            clock: 0,
             rng: SplitMix64::new(0xCAC4E ^ cfg.size_bytes ^ (cfg.ways as u64) << 32),
             cfg,
             stats: CacheStats::default(),
@@ -219,13 +301,13 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
-    /// Warms the host's caches with `line`'s set (validity word and tag
+    /// Warms the host's caches with `line`'s set (set record and tag
     /// addresses) ahead of a probe. A pure hint: simulator state,
     /// statistics, and results are unchanged whether or not it runs.
     #[inline]
     pub fn prefetch(&self, line: u64) {
         let set = self.set_index(line);
-        flatwalk_sync::prefetch_read(&self.valid, set);
+        flatwalk_sync::prefetch_read(&self.sets, set);
         flatwalk_sync::prefetch_read(&self.lines, set * self.cfg.ways);
     }
 
@@ -233,7 +315,7 @@ impl Cache {
     #[inline]
     fn find_way(&self, set: usize, line: u64) -> Option<usize> {
         let base = set * self.cfg.ways;
-        let mut mask = self.valid[set];
+        let mut mask = self.sets[set].valid;
         while mask != 0 {
             let way = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -248,15 +330,10 @@ impl Cache {
     ///
     /// Records a hit or miss in the statistics under `kind`.
     pub fn probe(&mut self, line: u64, kind: AccessKind) -> bool {
-        self.clock += 1;
         let set = self.set_index(line);
-        // The scan touches only the dense tag-address run; the metadata
-        // slab is written on a hit (this is the simulator's hottest
-        // loop — a miss must not drag replacement state into the host's
-        // caches).
         let hit = match self.find_way(set, line) {
             Some(way) => {
-                self.meta[set * self.cfg.ways + way].stamp = self.clock;
+                self.sets[set].touch(way);
                 true
             }
             None => false,
@@ -328,49 +405,45 @@ impl Cache {
         owner: OwnerId,
         priority_active: bool,
     ) -> Option<Eviction> {
-        self.clock += 1;
         self.stats.fills += 1;
-        let new_meta = LineMeta {
-            kind,
-            owner,
-            stamp: self.clock,
-        };
-        let base = set * self.cfg.ways;
+        let ways = self.cfg.ways;
+        let base = set * ways;
 
-        // Free way? (lowest clear bit, matching the old first-empty-slot
-        // scan).
-        let free = !self.valid[set] & Self::ways_mask(self.cfg.ways);
+        // Free way? Take the lowest clear bit; it joins the order at the
+        // front, ahead of every valid way.
+        let state = &mut self.sets[set];
+        let free = !u32::from(state.valid) & ((1u32 << ways) - 1);
         if free != 0 {
             let way = free.trailing_zeros() as usize;
-            self.valid[set] |= 1 << way;
+            state.valid |= 1 << way;
+            state.order = state.order << 4 | way as u64;
+            state.install_meta(way, kind, owner);
             self.lines[base + way] = line;
-            self.meta[base + way] = new_meta;
             return None;
         }
 
         let biased =
             priority_active && self.cfg.pt_priority && self.rng.chance(self.cfg.priority_prob);
-
+        let state = &mut self.sets[set];
         let victim_way = if biased {
-            // Prefer own data, then any data, then overall LRU.
-            self.lru_where(set, |m| m.kind == AccessKind::Data && m.owner == owner)
-                .or_else(|| self.lru_where(set, |m| m.kind == AccessKind::Data))
-                .or_else(|| self.lru_where(set, |_| true))
+            state.biased_victim(ways, owner)
         } else {
-            self.lru_where(set, |_| true)
-        }
-        .expect("full set must yield a victim");
-
+            state.way_at(ways - 1)
+        };
+        let victim_kind = state.kind(victim_way);
+        let victim_owner = state.owners[victim_way];
+        state.install_meta(victim_way, kind, owner);
+        state.touch(victim_way);
         let victim_line = std::mem::replace(&mut self.lines[base + victim_way], line);
-        let victim = std::mem::replace(&mut self.meta[base + victim_way], new_meta);
-        if priority_active && self.cfg.pt_priority && victim.kind == AccessKind::PageTable {
+
+        if priority_active && self.cfg.pt_priority && victim_kind == AccessKind::PageTable {
             self.stats.pt_evictions_during_priority += 1;
         }
         if flatwalk_obs::trace::repl_enabled() {
             flatwalk_obs::trace::emit_repl(&flatwalk_obs::trace::ReplRecord {
                 cache: self.cfg.name,
                 victim_line,
-                victim_kind: match victim.kind {
+                victim_kind: match victim_kind {
                     AccessKind::PageTable => "pt",
                     AccessKind::Data => "data",
                 },
@@ -379,57 +452,22 @@ impl Cache {
         }
         Some(Eviction {
             line: victim_line,
-            kind: victim.kind,
-            owner: victim.owner,
+            kind: victim_kind,
+            owner: victim_owner,
         })
     }
 
-    /// All-ways bitmask for an associativity of `ways`.
-    #[inline]
-    fn ways_mask(ways: usize) -> u64 {
-        if ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << ways) - 1
-        }
-    }
-
-    /// Way index of the least-recently-used valid line in `set` matching
-    /// `pred` (first such way on stamp ties, like the old per-set scan).
-    #[inline]
-    fn lru_where(&self, set: usize, pred: impl Fn(&LineMeta) -> bool) -> Option<usize> {
-        let base = set * self.cfg.ways;
-        let mut mask = self.valid[set];
-        let mut best: Option<(usize, u64)> = None;
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let m = &self.meta[base + way];
-            if pred(m) && best.is_none_or(|(_, stamp)| m.stamp < stamp) {
-                best = Some((way, m.stamp));
-            }
-        }
-        best.map(|(way, _)| way)
-    }
-
-    /// Number of resident lines matching `kind` (O(size); for tests and
+    /// Number of resident lines matching `kind` (O(sets); for tests and
     /// reports).
     pub fn resident_lines(&self, kind: AccessKind) -> usize {
-        let ways = self.cfg.ways;
-        self.valid
+        self.sets
             .iter()
-            .enumerate()
-            .map(|(set, &mask)| {
-                let mut mask = mask;
-                let mut count = 0;
-                while mask != 0 {
-                    let way = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    if self.meta[set * ways + way].kind == kind {
-                        count += 1;
-                    }
-                }
-                count
+            .map(|s| {
+                let of_kind = match kind {
+                    AccessKind::PageTable => s.valid & s.pt,
+                    AccessKind::Data => s.valid & !s.pt,
+                };
+                of_kind.count_ones() as usize
             })
             .sum()
     }

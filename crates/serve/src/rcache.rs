@@ -132,6 +132,11 @@ impl ResultCache {
         Some(entry.value.clone())
     }
 
+    /// Whether `key` is resident; leaves its recency as it is.
+    pub fn contains(&self, key: &Arc<str>) -> bool {
+        self.map.get(key).is_some()
+    }
+
     /// Inserts (or replaces) `key`, then evicts least-recently-used
     /// entries until the budget holds again. A value larger than the
     /// whole budget is admitted alone — serving one oversized grid cell

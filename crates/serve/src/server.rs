@@ -14,18 +14,25 @@
 //!    Admission control sheds the rest fast: when the predicted queue
 //!    wait (queue length × EWMA job duration ÷ workers) exceeds the
 //!    job's `deadline_ms` or the configured SLO, the reply is an
-//!    immediate `overloaded` instead of a doomed enqueue.
-//! 2. A worker pops the job and fans its cells across the
-//!    work-stealing scheduler (`FLATWALK_JOB_THREADS`, default: the
-//!    worker count), each through [`ServerInner::execute_cell`]:
+//!    immediate `overloaded` instead of a doomed enqueue. Each cell's
+//!    result-cache key is computed here, once. A job whose every cell
+//!    is in the result cache is not queued: the connection thread runs
+//!    it at once (step 2 without the fan-out), so a cached answer never
+//!    waits behind simulations or on a worker's wake-up.
+//! 2. A worker pops the job. Cells the result cache holds are answered
+//!    on the worker's thread in index order and go out in one flush;
+//!    the rest fan out across the work-stealing scheduler
+//!    (`FLATWALK_JOB_THREADS`, default: the worker count), each through
+//!    [`ServerInner::execute_cell`]:
 //!    result-cache lookup → persistent-store lookup → in-flight
 //!    coalescing → `runner::run_cell_outcome` (the same fault-domain
 //!    entry point the batch binaries use, with the job's fault plan
 //!    re-installed as a thread-scoped plan on every pool thread, plus
 //!    the job's cancel flag as the ambient scoped cancel so a deadline
-//!    stops cells at the next batch boundary). Completed cells are
-//!    rendered once and streamed to subscribers **in index order** — an
-//!    emit cursor holds back out-of-order finishes until their
+//!    stops cells at the next batch boundary, where a simulating cell
+//!    also yields its core to the server's cached answers). Completed
+//!    cells are rendered once and streamed to subscribers **in index
+//!    order** — an emit cursor holds back out-of-order finishes until their
 //!    predecessors land. Executed cells are written through to the
 //!    store by a writer thread beside the cell threads
 //!    ([`StoreWrites`]), so a cell thread does not wait on `fsync`; the
@@ -183,6 +190,8 @@ pub struct Job {
     pub spec: JobSpec,
     labels: Vec<String>,
     cells: Vec<Cell>,
+    /// Each cell's result-cache key, computed once at submit.
+    keys: Vec<Arc<str>>,
     state: AtomicU8,
     done_cells: AtomicUsize,
     failed_cells: AtomicUsize,
@@ -456,6 +465,10 @@ impl ServerInner {
 
     /// Submits a job, registering `subscriber` for its event stream.
     ///
+    /// A job whose every cell is in the result cache runs to completion
+    /// on the calling thread before this returns; any other job is
+    /// queued for a worker.
+    ///
     /// Returns the job plus `resumed`: `true` when the submit's
     /// `submit_key` matched an existing job and the caller was
     /// attached to it (already-emitted cell events replayed) instead
@@ -509,6 +522,16 @@ impl ServerInner {
             }
         }
         let grid = spec.resolve().map_err(|e| ("bad_request", e))?;
+        // The job's fault plan is the innermost scoped plan on every
+        // thread that runs its cells, so this is the signature they see.
+        let signature = spec.faults.map_or(0, |plan| plan.signature());
+        let total = grid.cells.len();
+        let keys: Vec<Arc<str>> = grid
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(index, cell)| cell_key(cell, signature, index, total).into())
+            .collect();
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         if self.draining() {
             self.counters.jobs_rejected.fetch_add(1, Ordering::Relaxed);
@@ -560,22 +583,27 @@ impl ServerInner {
             ));
         }
         let id = self.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-        let cell_count = grid.len();
         let deadline = spec
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
+        // A job the result cache answers in full waits on no simulation,
+        // so the caller runs it now instead of queueing it behind jobs
+        // that simulate. Chaos jobs always go through a worker: their
+        // hook kills the worker that runs them.
+        let answer_here = spec.chaos.is_none() && keys.iter().all(|k| self.cache.contains(k));
         let job = Arc::new(Job {
             id,
             spec,
             labels: grid.labels,
             cells: grid.cells,
+            keys,
             state: AtomicU8::new(QUEUED),
             done_cells: AtomicUsize::new(0),
             failed_cells: AtomicUsize::new(0),
             cached_cells: AtomicUsize::new(0),
             coalesced_cells: AtomicUsize::new(0),
             executed_cells: AtomicUsize::new(0),
-            records: Mutex::new(vec![None; cell_count]),
+            records: Mutex::new(vec![None; total]),
             subscribers: Mutex::new(subscriber.into_iter().collect()),
             enqueued: Instant::now(),
             cancel: CancelFlag::new(),
@@ -591,13 +619,26 @@ impl ServerInner {
             .unwrap_or_else(|e| e.into_inner())
             .by_id
             .insert(id, Arc::clone(&job));
-        queue.push_back(Arc::clone(&job));
+        if answer_here {
+            // Counted in flight under the queue lock, as a worker's
+            // dequeue is, so a drain never sees it neither queued nor
+            // running.
+            self.in_flight.fetch_add(1, Ordering::Relaxed);
+        } else {
+            queue.push_back(Arc::clone(&job));
+        }
         drop(queue);
         drop(keymap);
-        self.queue_cv.notify_one();
+        if !answer_here {
+            self.queue_cv.notify_one();
+        }
         self.counters.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("serve.jobs.submitted", 1);
         trace::emit_serve("submit", id, &job.spec.grid);
+        if answer_here {
+            self.run_job(&job);
+            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
         Ok((job, false))
     }
 
@@ -645,6 +686,19 @@ impl ServerInner {
         }
     }
 
+    /// Answers one cell from the result cache, counting the hit.
+    fn cache_hit(&self, job_id: u64, key: &str) -> Option<CellData> {
+        let hit = self.cache.get(key)?;
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        metrics::add_global("serve.cache.hits", 1);
+        trace::emit_serve("cache_hit", job_id, &key[..key.len().min(80)]);
+        Some(CellData::Done {
+            value: hit,
+            cached: true,
+            coalesced: false,
+        })
+    }
+
     /// Runs one cell through cache → coalesce → execute; an executed
     /// cell's durable write goes to `writes`.
     fn execute_cell(
@@ -653,19 +707,11 @@ impl ServerInner {
         index: usize,
         total: usize,
         cell: &Cell,
+        key: &Arc<str>,
         writes: &StoreWrites<'_, '_>,
     ) -> CellData {
-        let signature = flatwalk_faults::signature_active();
-        let key: Arc<str> = cell_key(cell, signature, index, total).into();
-        if let Some(hit) = self.cache.get(&key) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            metrics::add_global("serve.cache.hits", 1);
-            trace::emit_serve("cache_hit", job_id, &key[..key.len().min(80)]);
-            return CellData::Done {
-                value: hit,
-                cached: true,
-                coalesced: false,
-            };
+        if let Some(hit) = self.cache_hit(job_id, key) {
+            return hit;
         }
         // Miss: claim the key or join whoever already claimed it. The
         // cache is re-checked under the map lock — the previous owner
@@ -675,7 +721,7 @@ impl ServerInner {
                 .inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = self.cache.get(&key) {
+            if let Some(hit) = self.cache.get(key) {
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 metrics::add_global("serve.cache.hits", 1);
                 return CellData::Done {
@@ -684,11 +730,11 @@ impl ServerInner {
                     coalesced: false,
                 };
             }
-            match map.get(&key) {
+            match map.get(key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::new(InflightSlot::default());
-                    map.insert(Arc::clone(&key), Arc::clone(&slot));
+                    map.insert(Arc::clone(key), Arc::clone(&slot));
                     (slot, true)
                 }
             }
@@ -718,12 +764,12 @@ impl ServerInner {
         // store — a previous process lifetime may have computed this
         // cell. A hit is promoted into the memory cache and fulfils
         // any coalesced waiters, byte-identical to the original run.
-        if let Some(hit) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            self.cache.insert_shared(Arc::clone(&key), hit.clone());
+        if let Some(hit) = self.store.as_ref().and_then(|s| s.get(key)) {
+            self.cache.insert_shared(Arc::clone(key), hit.clone());
             self.inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
+                .remove(key);
             *slot.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(hit.clone()));
             slot.cv.notify_all();
             trace::emit_serve("store_hit", job_id, &key[..key.len().min(80)]);
@@ -753,8 +799,8 @@ impl ServerInner {
                 // arriving in between hits the cache instead of
                 // re-executing. Write-through to the persistent store
                 // (best-effort: a full disk must not fail the cell).
-                self.cache.insert_shared(Arc::clone(&key), value.clone());
-                writes.put(&key, &value);
+                self.cache.insert_shared(Arc::clone(key), value.clone());
+                writes.put(key, &value);
                 Ok(value)
             }
             CellOutcome::Failed { error, retries } => Err((error, retries)),
@@ -762,7 +808,7 @@ impl ServerInner {
         self.inflight_cells
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
+            .remove(key);
         *slot.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(result.clone());
         slot.cv.notify_all();
         match result {
@@ -802,7 +848,33 @@ impl ServerInner {
             trace::emit_serve("shed", job.id, "late");
         }
         let total = job.cells.len();
-        // The job's cells fan out through the work-stealing scheduler.
+        let cancelled = || self.cancel.is_cancelled() || job.cancel.is_cancelled();
+        // Cells the result cache holds are answered on this thread, in
+        // index order, and go out in one flush; only the rest fan out. A
+        // requeued job (worker lost mid-run) skips cells that already
+        // have records — they were executed, streamed, and counted by
+        // the first attempt.
+        let mut pending = Vec::new();
+        for index in 0..total {
+            if job.records.lock().unwrap_or_else(|e| e.into_inner())[index].is_some() {
+                continue;
+            }
+            let hit = if cancelled() {
+                None
+            } else {
+                self.cache_hit(job.id, &job.keys[index])
+            };
+            match hit {
+                Some(data) => record_cell(job, index, &data),
+                None => pending.push(index),
+            }
+        }
+        {
+            let _splice_span = span::enter("serve.splice");
+            flush_records(job);
+        }
+        // The remaining cells fan out through the work-stealing scheduler
+        // (none, and no thread, when the cache answered every cell).
         // Fault plans are *thread*-scoped, so every per-cell closure
         // re-installs the job's plan on whichever pool thread runs it —
         // `scoped(None)` still pushes a scope, so a job without faults
@@ -812,59 +884,36 @@ impl ServerInner {
         // mid-cell stops the simulation at the next batch boundary.
         // Subscribers still see cell events in index order: each
         // finished cell parks its record, then the emit cursor flushes
-        // every consecutive completed record. A requeued job (worker
-        // lost mid-run) skips cells that already have records — they
-        // were executed, streamed, and counted by the first attempt.
+        // every consecutive completed record.
         let plan = job.spec.faults;
         let fan = match self.config.job_threads {
             0 => self.config.workers,
             n => n,
         };
-        let progress = runner::Progress::quiet(total);
+        let progress = runner::Progress::quiet(pending.len());
         std::thread::scope(|scope| {
             let writes = StoreWrites::new(self.store.as_ref(), scope);
             runner::run_ordered(
-                (0..total).collect(),
+                pending,
                 fan,
                 &progress,
                 |_| 1,
                 |index: usize| {
-                    if job.records.lock().unwrap_or_else(|e| e.into_inner())[index].is_some() {
-                        return;
-                    }
                     let _plan_scope = flatwalk_faults::scoped(plan);
                     let _cancel_scope = runner::scoped_cancel(job.cancel.clone());
-                    let data = if self.cancel.is_cancelled() || job.cancel.is_cancelled() {
+                    let data = if cancelled() {
                         CellData::Failed {
                             error: format!("cancelled before start: cell {index} of {total}"),
                             retries: 0,
                         }
                     } else {
-                        self.execute_cell(job.id, index, total, &job.cells[index], &writes)
+                        let (cell, key) = (&job.cells[index], &job.keys[index]);
+                        self.execute_cell(job.id, index, total, cell, key, &writes)
                     };
-                    match &data {
-                        CellData::Done {
-                            cached, coalesced, ..
-                        } => {
-                            if *cached {
-                                job.cached_cells.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                job.executed_cells.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if *coalesced {
-                                job.coalesced_cells.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        CellData::Failed { .. } => {
-                            job.failed_cells.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    let record = render_record(job, index, &data);
-                    job.records.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(record);
-                    job.done_cells.fetch_add(1, Ordering::Relaxed);
+                    record_cell(job, index, &data);
                     // Flush the in-order prefix this completion unblocked.
-                    // Lock order is emit_cursor → records everywhere; the
-                    // store above released `records` first, so a racing
+                    // Lock order is emit_cursor → records everywhere;
+                    // `record_cell` released `records` first, so a racing
                     // flusher either emits our record for us or leaves the
                     // cursor parked on it for this call.
                     let _splice_span = span::enter("serve.splice");
@@ -1238,6 +1287,31 @@ fn attach_subscriber(job: &Arc<Job>, tx: Sender<String>) {
             .unwrap_or_else(|e| e.into_inner())
             .push(tx);
     }
+}
+
+/// Counts one finished cell against `job` and parks its rendered
+/// record for the emit cursor.
+fn record_cell(job: &Job, index: usize, data: &CellData) {
+    match data {
+        CellData::Done {
+            cached, coalesced, ..
+        } => {
+            if *cached {
+                job.cached_cells.fetch_add(1, Ordering::Relaxed);
+            } else {
+                job.executed_cells.fetch_add(1, Ordering::Relaxed);
+            }
+            if *coalesced {
+                job.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        CellData::Failed { .. } => {
+            job.failed_cells.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let record = render_record(job, index, data);
+    job.records.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(record);
+    job.done_cells.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Renders one cell record. Report bytes come from the cache entry and
@@ -2124,6 +2198,108 @@ mod tests {
         assert_eq!(err.0, "overloaded");
         assert!(err.1.contains("SLO"), "{}", err.1);
         assert_eq!(slo.counters.shed_slo.load(Ordering::Relaxed), 1);
+    }
+
+    fn tiny_spec() -> JobSpec {
+        let mut spec = JobSpec::new("sec71_pwc", flatwalk_bench::Mode::Quick);
+        spec.warmup_ops = Some(100);
+        spec.measure_ops = Some(400);
+        spec.footprint_divisor = Some(4096);
+        spec
+    }
+
+    /// The `record` object of every `cell` event in `writes`.
+    fn cell_records(writes: &[Vec<u8>]) -> Vec<Json> {
+        writes
+            .iter()
+            .map(|w| flatwalk_obs::json::parse(String::from_utf8_lossy(w).trim()).expect("json"))
+            .filter(|v| v.get("event") == Some(&Json::from("cell")))
+            .map(|v| v.get("record").expect("cell record").clone())
+            .collect()
+    }
+
+    /// Puts a stand-in report for each cell of `tiny_spec()` that
+    /// `pick` selects into `inner`'s result cache; returns the cell count.
+    fn plant(inner: &ServerInner, pick: impl Fn(usize) -> bool) -> usize {
+        let grid = tiny_spec().resolve().expect("known grid");
+        let total = grid.cells.len();
+        for (index, cell) in grid.cells.iter().enumerate().filter(|(i, _)| pick(*i)) {
+            let value = CachedCell {
+                report_json: format!("{{\"planted\":{index}}}").into(),
+                setup_nanos: 0,
+                run_nanos: 0,
+                retries: 0,
+            };
+            inner.cache.insert(cell_key(cell, 0, index, total), value);
+        }
+        total
+    }
+
+    /// Checks that `writes` stream every cell of the job in index order,
+    /// one whole line per write, cached (with its planted report) where
+    /// `planted` says so.
+    fn check_stream(writes: &[Vec<u8>], total: usize, planted: impl Fn(usize) -> bool) {
+        assert_eq!(writes.len(), total + 2, "accepted, the cells, done");
+        for write in writes {
+            assert!(write.ends_with(b"\n") && write.iter().filter(|&&b| b == b'\n').count() == 1);
+        }
+        let records = cell_records(writes);
+        assert_eq!(records.len(), total);
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(record.get("index").and_then(Json::as_u64), Some(i as u64));
+            assert_eq!(record.get("cached"), Some(&Json::Bool(planted(i))));
+            let report = record.get("report").expect("report");
+            assert_eq!(
+                report.get("planted").and_then(Json::as_u64),
+                planted(i).then_some(i as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn a_fully_cached_submit_is_answered_before_submit_returns() {
+        // No workers: a job that went to the queue would never run.
+        let inner = Arc::new(ServerInner::new(test_config()));
+        let total = plant(&inner, |_| true);
+        let (job, resumed) = inner.submit(tiny_spec(), None).expect("accepted");
+        assert!(!resumed);
+        assert_eq!(job.state.load(Ordering::Relaxed), DONE);
+        assert_eq!(job.cached_cells(), total);
+        assert_eq!(job.executed_cells(), 0);
+        assert_eq!(inner.in_flight.load(Ordering::Relaxed), 0);
+        assert!(inner.queue.lock().expect("queue").is_empty());
+        assert_eq!(inner.counters.jobs_completed.load(Ordering::Relaxed), 1);
+        let result = inner.result_line(job.id);
+        assert!(result.contains(r#""state":"done""#), "{result}");
+
+        // Streamed, the same answer goes out event by event.
+        let mut w = crate::proto::tests::RecordingWriter::default();
+        serve_connection(
+            Arc::clone(&inner),
+            tiny_spec().to_request_line(true).as_bytes(),
+            &mut w,
+        );
+        check_stream(&w.writes, total, |_| true);
+        assert_eq!(inner.cells_executed(), 0);
+    }
+
+    #[test]
+    fn a_partly_cached_job_answers_hits_and_runs_the_rest_in_index_order() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        let inner = Arc::clone(handle.inner());
+        let total = plant(&inner, |i| i % 2 == 0);
+        assert!(total >= 3, "the grid needs hits and misses");
+        let mut w = crate::proto::tests::RecordingWriter::default();
+        serve_connection(
+            Arc::clone(&inner),
+            tiny_spec().to_request_line(true).as_bytes(),
+            &mut w,
+        );
+        check_stream(&w.writes, total, |i| i % 2 == 0);
+        assert_eq!(inner.cells_executed(), (total / 2) as u64);
+        assert_eq!(inner.cache_hits(), total.div_ceil(2) as u64);
+        handle.begin_drain();
+        handle.wait();
     }
 
     #[test]

@@ -289,7 +289,9 @@ pub fn run_single<B: EngineBackend>(
             // here, never inside a span, so completed spans keep their
             // byte-identical effects.
             if let Err(reason) = crate::runner::span_checkpoint() {
-                let va = va_buf.first().copied().unwrap_or(VirtAddr::new(0));
+                // Name the access the interrupt kept from running: the
+                // stream's next VA, at position `stream_pos`.
+                let va = stream.clone().next_va();
                 let mut err = sim_error(run, va, stream_pos, WalkError::Cancelled);
                 err.detail = Some(reason);
                 return Err(err);
@@ -408,11 +410,14 @@ pub fn run_multicore<B: EngineBackend>(
             // cores' shared-LLC interleaving is untouched on the
             // non-interrupted path.
             if let Err(reason) = crate::runner::span_checkpoint() {
+                // Name the access the interrupt kept from running: core
+                // 0's next VA, at position `stream_pos` of its stream.
+                let first = cores.first();
                 return Err(SimError {
                     scheme,
-                    workload: cores.first().map(|c| c.workload).unwrap_or("").to_string(),
-                    core: None,
-                    va: va_buf.first().copied().unwrap_or(VirtAddr::new(0)),
+                    workload: first.map(|c| c.workload).unwrap_or("").to_string(),
+                    core: first.map(|_| 0),
+                    va: first.map_or(VirtAddr::new(0), |c| c.stream.clone().next_va()),
                     stream_pos,
                     source: WalkError::Cancelled,
                     detail: Some(reason),

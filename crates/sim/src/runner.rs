@@ -187,6 +187,9 @@ impl Drop for ScopedCancel {
 /// nest; the innermost wins. `flatwalk-serve` wraps each served cell's
 /// execution in a scope carrying the owning job's flag, so cancelling
 /// the job interrupts the running cell at its next batch boundary.
+/// Attempts inside a scope also yield their core at every batch
+/// boundary (see [`span_checkpoint`]): a served simulation shares the
+/// cores with the server's cached answers.
 pub fn scoped_cancel(flag: CancelFlag) -> ScopedCancel {
     SCOPED_CANCEL.with(|s| s.borrow_mut().push(flag));
     ScopedCancel {
@@ -227,6 +230,11 @@ impl Drop for ArmedAttempt {
 /// wall-clock deadline passed. The engine converts an `Err` into a
 /// structured `WalkError::Cancelled` failure for this cell only — spans
 /// already completed keep their byte-identical effects.
+///
+/// An attempt with an owner (see [`scoped_cancel`]) also gives up its
+/// core here, so the owner's other work waits at most one span for it
+/// rather than the rest of a scheduler time slice. With nothing else
+/// runnable the yield returns at once; it changes no modeled quantity.
 pub fn span_checkpoint() -> Result<(), &'static str> {
     ATTEMPT_GUARD.with(|g| {
         let guard = g.borrow();
@@ -236,8 +244,11 @@ pub fn span_checkpoint() -> Result<(), &'static str> {
         if let Some(delay) = guard.slow {
             std::thread::sleep(delay);
         }
-        if guard.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
-            return Err("cancelled by owner");
+        if let Some(cancel) = &guard.cancel {
+            if cancel.is_cancelled() {
+                return Err("cancelled by owner");
+            }
+            std::thread::yield_now();
         }
         if Instant::now() >= guard.deadline {
             return Err("cell deadline exceeded");
@@ -1034,6 +1045,25 @@ mod tests {
             CellOutcome::Failed { error, retries } => {
                 assert!(error.contains("cancelled"), "{error}");
                 assert_eq!(retries, 0, "a cancelled attempt is never retried");
+                // "access #N to VA" names one access: the VA the cell's
+                // stream produces at position N.
+                let (pos, va) = error
+                    .split_once("access #")
+                    .and_then(|(_, rest)| rest.split_once(" failed"))
+                    .and_then(|(access, _)| access.split_once(" to "))
+                    .unwrap_or_else(|| panic!("no access named in {error:?}"));
+                let pos: usize = pos.parse().expect("stream position");
+                let spec = cell
+                    .workload
+                    .clone()
+                    .scaled_down(cell.opts.footprint_divisor);
+                let base_va =
+                    flatwalk_os::AddressSpaceSpec::new(cell.config.layout.clone(), spec.footprint)
+                        .base_va;
+                let expected = flatwalk_workloads::AccessStream::new(spec, base_va)
+                    .nth(pos)
+                    .expect("streams are infinite");
+                assert_eq!(va, expected.to_string(), "{error}");
             }
             CellOutcome::Ok { .. } => panic!("cell outran a 30 ms cancel despite slow faults"),
         }

@@ -155,7 +155,7 @@ proptest! {
     /// and probe/contains agree.
     #[test]
     fn cache_fill_and_probe_agree(lines in prop::collection::vec(0u64..4096, 1..400),
-                                  ways in 1usize..8) {
+                                  ways in 1usize..17) {
         let sets = 16usize;
         let cfg = CacheConfig::new("t", (sets * ways) as u64 * 64, ways, 1);
         let mut cache = Cache::new(cfg);
