@@ -50,7 +50,6 @@ fn main() {
             format!("{:.2}", mean(&accs).unwrap()),
             format!("{:.1}", mean(&lats).unwrap()),
         ]);
-        eprintln!("native {} done", cfg.label);
     }
     println!("--- native (paper: FPT +2.3%, PTP +6.8%, FPT+PTP +9.2%;");
     println!("    accesses 1.5→1.0; latency 50.9→33.0→29.1) ---");
@@ -96,7 +95,6 @@ fn main() {
             pct(geometric_mean(&speedups).unwrap()),
             format!("{:.2}", mean(&accs).unwrap()),
         ]);
-        eprintln!("virt {} done", cfg.label);
     }
     println!();
     println!("--- virtualized (paper: GF+HF +7.1%, GF+HF+PTP +14.0%;");

@@ -7,16 +7,16 @@
 //! no-op — stdout stays byte-identical to a build without JSON
 //! reporting.
 //!
-//! Output schema (`flatwalk-report-v1`), stable key order:
+//! Output schema (`flatwalk-report-v2`), stable key order:
 //!
 //! ```text
-//! {"schema":"flatwalk-report-v1",
+//! {"schema":"flatwalk-report-v2",
 //!  "experiment":"sec71_pwc_sweep",
 //!  "manifest":{"threads":…,"setup_cache_hits":…,"setup_cache_misses":…,
 //!              "setup_nanos":…,"run_nanos":…,"cells_recorded":…,
 //!              "cell_wall_count":…,"cell_wall_p50":…,"cell_wall_p90":…,
 //!              "cell_wall_p99":…,"cell_wall_p999":…},
-//!  "cells":[{"label":…,"index":…,"status":"ok"|"retried"|"failed",
+//!  "cells":[{"label":…,"index":…,"status":"ok"|"failed",
 //!            "setup_nanos":…,"run_nanos":…,
 //!            "report":{…SimReport::to_json…}},…],
 //!  "metrics":{…merged registry, name-sorted…}}
@@ -25,10 +25,9 @@
 //! Cells recorded via [`record_report`] carry no `status` /
 //! `setup_nanos` / `run_nanos` keys (their phase split is not
 //! attributable — the process-wide totals in the manifest still
-//! include them). Failed cells carry `error` and `retries` instead of
-//! timings and a report; retried-but-successful cells carry `retries`
-//! alongside the usual keys. When a fault plan is installed the
-//! manifest additionally records `faults_seed` and `faults_profile`.
+//! include them). Failed cells carry `error` instead of timings and a
+//! report. When a fault plan is installed the manifest additionally
+//! records `faults_seed` and `faults_profile`.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -113,20 +112,15 @@ pub fn record_cells(label: &str, outcomes: &[CellOutcome]) {
                 report,
                 setup_nanos,
                 run_nanos,
-                retries,
+                ..
             } => {
-                o.push("status", if *retries > 0 { "retried" } else { "ok" });
-                if *retries > 0 {
-                    o.push("retries", *retries as u64);
-                }
-                o.push("setup_nanos", *setup_nanos)
+                o.push("status", "ok")
+                    .push("setup_nanos", *setup_nanos)
                     .push("run_nanos", *run_nanos)
                     .push("report", report.to_json());
             }
-            CellOutcome::Failed { error, retries } => {
-                o.push("status", "failed")
-                    .push("error", error.as_str())
-                    .push("retries", *retries as u64);
+            CellOutcome::Failed { error, .. } => {
+                o.push("status", "failed").push("error", error.as_str());
             }
         }
         sink.push(o);
@@ -208,7 +202,7 @@ pub fn finish(experiment: &str) {
             .push("faults_profile", plan.profile.name());
     }
     let mut o = Json::obj();
-    o.push("schema", "flatwalk-report-v1")
+    o.push("schema", "flatwalk-report-v2")
         .push("experiment", experiment)
         .push("manifest", manifest)
         .push("cells", Json::Array(recorded))

@@ -565,7 +565,7 @@ pub fn numa_rivals_suite(mode: Mode) -> Vec<WorkloadSpec> {
 /// topology, the native FPT+PTP column then the rival columns
 /// (NUMA-Base, Mitosis, Victima), each over the suite at 0 % LP.
 /// Rival cells run through [`flatwalk_baselines::run_rival`], so the
-/// server serves them with the same cache/retry machinery as native
+/// server serves them with the same cache and fault domain as native
 /// cells.
 pub fn numa_rivals(mode: Mode, opts: &SimOptions) -> Grid {
     let suite = numa_rivals_suite(mode);

@@ -69,7 +69,7 @@ fn install_fault_plan() {
 /// [`finish`] to decide the process exit status.
 static FAILED_CELLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Number of grid cells that failed (after retries) in this process.
+/// Number of grid cells that failed in this process.
 pub fn failed_cells() -> usize {
     FAILED_CELLS.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -280,11 +280,11 @@ pub fn threads() -> usize {
 /// report and setup/run time split are forwarded to the JSON sink
 /// ([`emit`]) when one is configured.
 ///
-/// A failed cell (panic or [`SimError`](flatwalk_sim::SimError) after
-/// retries) does not abort the batch: it is announced on stdout, its
-/// slot is filled with a zeroed placeholder report (`config:
-/// "failed"`), and [`finish`] will exit non-zero once the whole grid
-/// has been rendered.
+/// A failed cell (panic or [`SimError`](flatwalk_sim::SimError)) does
+/// not abort the batch: it is announced on stdout, its slot is filled
+/// with a zeroed placeholder report (`config: "failed"`), and
+/// [`finish`] will exit non-zero once the whole grid has been
+/// rendered.
 pub fn run_cells(label: &'static str, cells: Vec<Cell>) -> Vec<SimReport> {
     init_observability();
     let workloads: Vec<String> = cells.iter().map(|c| c.workload.name.to_string()).collect();
@@ -296,10 +296,10 @@ pub fn run_cells(label: &'static str, cells: Vec<Cell>) -> Vec<SimReport> {
         .enumerate()
         .map(|(index, (outcome, workload))| match outcome {
             runner::CellOutcome::Ok { report, .. } => report,
-            runner::CellOutcome::Failed { error, retries } => {
+            runner::CellOutcome::Failed { error, .. } => {
                 FAILED_CELLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 println!(
-                    "cell failed: grid={label} index={index} workload={workload} retries={retries} error={error}"
+                    "cell failed: grid={label} index={index} workload={workload} error={error}"
                 );
                 SimReport {
                     workload,

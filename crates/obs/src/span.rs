@@ -4,7 +4,7 @@
 //! drops, so nesting is well-formed by construction — every exit
 //! matches the enter that produced its guard, in LIFO order per thread.
 //! Each thread keeps its own span stack; the `;`-joined stack path
-//! (`"cell;cell.attempt;engine.measure"`) identifies a span's full
+//! (`"cell;engine.measure"`) identifies a span's full
 //! ancestry, following the folded-stack convention flamegraph tooling
 //! expects.
 //!

@@ -42,9 +42,8 @@
 //! `FLATWALK_JOB_RETRIES` (requeue budget after a worker loss, default
 //! 1), `FLATWALK_JOB_STALL_SECS` (stall watchdog, default 600, 0 =
 //! off), `FLATWALK_CHAOS` (enable chaos test hooks), plus the
-//! simulator-wide `FLATWALK_THREADS`, `FLATWALK_CELL_RETRIES`,
-//! `FLATWALK_CELL_DEADLINE_SECS`, `FLATWALK_TRACE`, and
-//! `FLATWALK_FAULTS`.
+//! simulator-wide `FLATWALK_THREADS`, `FLATWALK_CELL_DEADLINE_SECS`,
+//! `FLATWALK_TRACE`, and `FLATWALK_FAULTS`.
 
 pub mod client;
 pub mod proto;

@@ -20,17 +20,18 @@
 //! refreshes its LRU recency with one relaxed atomic store — no
 //! `Mutex` anywhere between a request and its cached bytes. Writers
 //! (insert + eviction) serialize on one mutex. Keys are shared
-//! `Arc<str>`s, so the snapshot copy each insert makes costs a
-//! reference count per entry rather than a copy of every key (about
-//! 2 KB each), and an insert stays cheap next to the simulation it
+//! `Arc<str>`s, taken from the caller by lookups and inserts alike: a
+//! lookup copies no key, and the snapshot copy each insert makes costs
+//! a reference count per entry rather than a copy of every key (about
+//! 2 KB each), so an insert stays cheap next to the simulation it
 //! follows however full the cache is.
 //!
 //! The cache is bounded by an approximate byte budget
 //! (`FLATWALK_RESULT_CACHE_MB`, default 64 MB) with LRU eviction
 //! (approximate under concurrency: a hit that races the eviction scan
 //! may refresh a victim too late — it then simply re-enters on the
-//! next miss). Failed cells are never cached: a failure under retries
-//! is not content-deterministic the way a finished report is.
+//! next miss). Failed cells are never cached: a cell can fail to a
+//! cancel or a wall-clock deadline, and neither is part of its key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,7 +48,8 @@ pub struct CachedCell {
     pub setup_nanos: u64,
     /// Nanoseconds the original execution spent simulating.
     pub run_nanos: u64,
-    /// Failed attempts before the original execution succeeded.
+    /// Always 0: cells are never re-run, and the store no longer
+    /// records the field. Kept for callers that still build it.
     pub retries: u32,
 }
 
@@ -123,10 +125,8 @@ impl ResultCache {
 
     /// Looks `key` up, refreshing its recency on a hit. Lock-free: a
     /// snapshot probe plus one relaxed store.
-    pub fn get(&self, key: &str) -> Option<CachedCell> {
-        // `SwapMap::get` takes its own key type, so the probe key is
-        // built as an `Arc<str>`.
-        let entry = self.map.get(&Arc::from(key))?;
+    pub fn get(&self, key: &Arc<str>) -> Option<CachedCell> {
+        let entry = self.map.get(key)?;
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         entry.last_used.store(tick, Ordering::Relaxed);
         Some(entry.value.clone())
@@ -140,14 +140,9 @@ impl ResultCache {
     /// Inserts (or replaces) `key`, then evicts least-recently-used
     /// entries until the budget holds again. A value larger than the
     /// whole budget is admitted alone — serving one oversized grid cell
-    /// from cache still beats re-simulating it.
-    pub fn insert(&self, key: String, value: CachedCell) {
-        self.insert_shared(key.into(), value);
-    }
-
-    /// [`insert`](ResultCache::insert) for a key the caller already
-    /// holds as a shared `Arc<str>`; the cache keeps that allocation.
-    pub fn insert_shared(&self, key: Arc<str>, value: CachedCell) {
+    /// from cache still beats re-simulating it. The cache keeps the
+    /// caller's key allocation.
+    pub fn insert(&self, key: Arc<str>, value: CachedCell) {
         let _write = self.write.lock().unwrap_or_else(|e| e.into_inner()); // lock-ok: write path
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let cost = value.cost_bytes(key.len());
@@ -220,9 +215,9 @@ mod tests {
     #[test]
     fn hit_returns_the_stored_value() {
         let cache = ResultCache::new(1 << 20);
-        assert!(cache.get("k").is_none());
+        assert!(cache.get(&"k".into()).is_none());
         cache.insert("k".into(), cell("{\"a\":1}"));
-        let hit = cache.get("k").unwrap();
+        let hit = cache.get(&"k".into()).unwrap();
         assert_eq!(&*hit.report_json, "{\"a\":1}");
         assert_eq!(cache.len(), 1);
     }
@@ -236,10 +231,13 @@ mod tests {
         let cache = ResultCache::new(budget);
         cache.insert("a".into(), cell(&payload));
         cache.insert("b".into(), cell(&payload));
-        assert!(cache.get("a").is_some(), "refresh a; b is now coldest");
+        assert!(
+            cache.get(&"a".into()).is_some(),
+            "refresh a; b is now coldest"
+        );
         cache.insert("c".into(), cell(&payload));
-        assert!(cache.get("b").is_none(), "b evicted");
-        assert!(cache.get("a").is_some() && cache.get("c").is_some());
+        assert!(cache.get(&"b".into()).is_none(), "b evicted");
+        assert!(cache.get(&"a".into()).is_some() && cache.get(&"c".into()).is_some());
         assert_eq!(cache.evicted(), 1);
     }
 
@@ -250,7 +248,7 @@ mod tests {
         assert_eq!(cache.len(), 1, "a single entry may exceed the budget");
         cache.insert("big2".into(), cell(&"y".repeat(500)));
         assert_eq!(cache.len(), 1, "but two may not");
-        assert!(cache.get("big2").is_some(), "newest survives");
+        assert!(cache.get(&"big2".into()).is_some(), "newest survives");
     }
 
     #[test]
@@ -324,7 +322,7 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         for k in 0..16u64 {
-                            if let Some(hit) = cache.get(&format!("k{k}")) {
+                            if let Some(hit) = cache.get(&format!("k{k}").into()) {
                                 assert!(hit.report_json.starts_with(&format!("{k}:")));
                             }
                         }
@@ -334,7 +332,7 @@ mod tests {
             .collect();
         for round in 0..200u64 {
             let k = round % 16;
-            cache.insert(format!("k{k}"), cell(&format!("{k}:{payload}")));
+            cache.insert(format!("k{k}").into(), cell(&format!("{k}:{payload}")));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {

@@ -24,20 +24,20 @@
 //!    the rest fan out across the work-stealing scheduler
 //!    (`FLATWALK_JOB_THREADS`, default: the worker count), each through
 //!    [`ServerInner::execute_cell`]:
-//!    result-cache lookup → persistent-store lookup → in-flight
-//!    coalescing → `runner::run_cell_outcome` (the same fault-domain
-//!    entry point the batch binaries use, with the job's fault plan
-//!    re-installed as a thread-scoped plan on every pool thread, plus
-//!    the job's cancel flag as the ambient scoped cancel so a deadline
-//!    stops cells at the next batch boundary, where a simulating cell
-//!    also yields its core to the server's cached answers). Completed
-//!    cells are rendered once and streamed to subscribers **in index
-//!    order** — an emit cursor holds back out-of-order finishes until their
-//!    predecessors land. Executed cells are written through to the
-//!    store by a writer thread beside the cell threads
-//!    ([`StoreWrites`]), so a cell thread does not wait on `fsync`; the
-//!    job's `done` goes out only after every one of its writes is
-//!    durable.
+//!    result-cache re-check under the in-flight lock → in-flight
+//!    coalescing → persistent-store lookup → `runner::run_cell_outcome`
+//!    (the same fault-domain entry point the batch binaries use, with
+//!    the job's fault plan re-installed as a thread-scoped plan on
+//!    every pool thread, plus the job's cancel flag as the ambient
+//!    scoped cancel so a deadline stops cells at the next batch
+//!    boundary, where a simulating cell also yields its core to the
+//!    server's cached answers). Completed cells are rendered once and
+//!    streamed to subscribers **in index order** — an emit cursor
+//!    holds back out-of-order finishes until their predecessors land.
+//!    Executed cells are written through to the store by a writer
+//!    thread beside the cell threads ([`StoreWrites`]), so a cell
+//!    thread does not wait on `fsync`; the job's `done` goes out only
+//!    after every one of its writes is durable.
 //! 3. The finished job stays addressable (`status` / `result`, and its
 //!    `submit_key`) until [`RETAINED_JOBS`] newer jobs have finished;
 //!    after that its id answers `not_found`, and a resubmit is served
@@ -253,11 +253,10 @@ enum CellData {
     },
     Failed {
         error: String,
-        retries: u32,
     },
 }
 
-type ExecResult = Result<CachedCell, (String, u32)>;
+type ExecResult = Result<CachedCell, String>;
 
 /// Rendezvous for concurrent requests of the same cell key: the first
 /// requester executes, the rest block here and share the outcome.
@@ -687,7 +686,7 @@ impl ServerInner {
     }
 
     /// Answers one cell from the result cache, counting the hit.
-    fn cache_hit(&self, job_id: u64, key: &str) -> Option<CellData> {
+    fn cache_hit(&self, job_id: u64, key: &Arc<str>) -> Option<CellData> {
         let hit = self.cache.get(key)?;
         self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("serve.cache.hits", 1);
@@ -699,8 +698,9 @@ impl ServerInner {
         })
     }
 
-    /// Runs one cell through cache → coalesce → execute; an executed
-    /// cell's durable write goes to `writes`.
+    /// Runs one cell that missed `run_job`'s cache pass through cache →
+    /// coalesce → execute; an executed cell's durable write goes to
+    /// `writes`.
     fn execute_cell(
         &self,
         job_id: u64,
@@ -710,25 +710,16 @@ impl ServerInner {
         key: &Arc<str>,
         writes: &StoreWrites<'_, '_>,
     ) -> CellData {
-        if let Some(hit) = self.cache_hit(job_id, key) {
-            return hit;
-        }
-        // Miss: claim the key or join whoever already claimed it. The
-        // cache is re-checked under the map lock — the previous owner
-        // may have inserted and released between our lookup and here.
+        // Claim the key or join whoever already claimed it. The cache
+        // is checked again under the map lock: another job's owner may
+        // have inserted and released since `run_job`'s cache pass.
         let (slot, owner) = {
             let mut map = self
                 .inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = self.cache.get(key) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                metrics::add_global("serve.cache.hits", 1);
-                return CellData::Done {
-                    value: hit,
-                    cached: true,
-                    coalesced: false,
-                };
+            if let Some(hit) = self.cache_hit(job_id, key) {
+                return hit;
             }
             match map.get(key) {
                 Some(slot) => (Arc::clone(slot), false),
@@ -755,7 +746,7 @@ impl ServerInner {
                     cached: true,
                     coalesced: true,
                 },
-                Err((error, retries)) => CellData::Failed { error, retries },
+                Err(error) => CellData::Failed { error },
             };
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -765,7 +756,7 @@ impl ServerInner {
         // cell. A hit is promoted into the memory cache and fulfils
         // any coalesced waiters, byte-identical to the original run.
         if let Some(hit) = self.store.as_ref().and_then(|s| s.get(key)) {
-            self.cache.insert_shared(Arc::clone(key), hit.clone());
+            self.cache.insert(Arc::clone(key), hit.clone());
             self.inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -787,23 +778,23 @@ impl ServerInner {
                 report,
                 setup_nanos,
                 run_nanos,
-                retries,
+                ..
             } => {
                 let value = CachedCell {
                     report_json: Arc::from(report.to_json().to_string()),
                     setup_nanos,
                     run_nanos,
-                    retries,
+                    retries: 0,
                 };
                 // Insert before unpublishing the slot so a request
                 // arriving in between hits the cache instead of
                 // re-executing. Write-through to the persistent store
                 // (best-effort: a full disk must not fail the cell).
-                self.cache.insert_shared(Arc::clone(key), value.clone());
+                self.cache.insert(Arc::clone(key), value.clone());
                 writes.put(key, &value);
                 Ok(value)
             }
-            CellOutcome::Failed { error, retries } => Err((error, retries)),
+            CellOutcome::Failed { error, .. } => Err(error),
         };
         self.inflight_cells
             .lock()
@@ -817,7 +808,7 @@ impl ServerInner {
                 cached: false,
                 coalesced: false,
             },
-            Err((error, retries)) => CellData::Failed { error, retries },
+            Err(error) => CellData::Failed { error },
         }
     }
 
@@ -904,7 +895,6 @@ impl ServerInner {
                     let data = if cancelled() {
                         CellData::Failed {
                             error: format!("cancelled before start: cell {index} of {total}"),
-                            retries: 0,
                         }
                     } else {
                         let (cell, key) = (&job.cells[index], &job.keys[index]);
@@ -1010,7 +1000,6 @@ impl ServerInner {
                             "worker lost: requeue budget exhausted after {} attempt(s)",
                             job.requeues()
                         ),
-                        retries: job.requeues(),
                     };
                     *record = Some(render_record(job, index, &data));
                     job.failed_cells.fetch_add(1, Ordering::Relaxed);
@@ -1328,11 +1317,8 @@ fn render_record(job: &Job, index: usize, data: &CellData) -> String {
             cached,
             coalesced,
         } => {
-            o.push("status", if value.retries > 0 { "retried" } else { "ok" });
-            if value.retries > 0 {
-                o.push("retries", value.retries);
-            }
-            o.push("cached", *cached)
+            o.push("status", "ok")
+                .push("cached", *cached)
                 .push("coalesced", *coalesced)
                 .push("setup_nanos", value.setup_nanos)
                 .push("run_nanos", value.run_nanos);
@@ -1343,10 +1329,9 @@ fn render_record(job: &Job, index: usize, data: &CellData) -> String {
             s.push('}');
             s
         }
-        CellData::Failed { error, retries } => {
+        CellData::Failed { error } => {
             o.push("status", "failed")
                 .push("error", error.as_str())
-                .push("retries", *retries)
                 .push("cached", false)
                 .push("coalesced", false);
             o.to_string()
@@ -2230,7 +2215,9 @@ mod tests {
                 run_nanos: 0,
                 retries: 0,
             };
-            inner.cache.insert(cell_key(cell, 0, index, total), value);
+            inner
+                .cache
+                .insert(cell_key(cell, 0, index, total).into(), value);
         }
         total
     }

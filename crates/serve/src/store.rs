@@ -95,8 +95,7 @@ fn render_entry(key: &str, value: &CachedCell) -> Vec<u8> {
         .push("key_len", key.len() as u64)
         .push("report_len", value.report_json.len() as u64)
         .push("setup_nanos", value.setup_nanos)
-        .push("run_nanos", value.run_nanos)
-        .push("retries", u64::from(value.retries));
+        .push("run_nanos", value.run_nanos);
     let header = header.to_string();
     let mut out = Vec::with_capacity(header.len() + key.len() + value.report_json.len() + 3);
     out.extend_from_slice(header.as_bytes());
@@ -109,7 +108,8 @@ fn render_entry(key: &str, value: &CachedCell) -> Vec<u8> {
 }
 
 /// Parses and verifies one entry file's bytes back into its key and
-/// cached value.
+/// cached value. Header fields it does not read are ignored, so the
+/// `retries` field of entries written by older builds does no harm.
 ///
 /// # Errors
 ///
@@ -163,7 +163,7 @@ fn parse_entry(bytes: &[u8]) -> Result<(String, CachedCell), String> {
             report_json: report,
             setup_nanos: field("setup_nanos")?,
             run_nanos: field("run_nanos")?,
-            retries: field("retries")? as u32,
+            retries: 0,
         },
     ))
 }
@@ -446,7 +446,7 @@ mod tests {
             report_json: Arc::from(report),
             setup_nanos: 11,
             run_nanos: 22,
-            retries: 1,
+            retries: 0,
         }
     }
 
@@ -458,8 +458,36 @@ mod tests {
         store.put("k1", &cell("{\"r\":1}"));
         let hit = store.get("k1").unwrap();
         assert_eq!(&*hit.report_json, "{\"r\":1}");
-        assert_eq!((hit.setup_nanos, hit.run_nanos, hit.retries), (11, 22, 1));
+        assert_eq!((hit.setup_nanos, hit.run_nanos), (11, 22));
         assert_eq!((store.writes(), store.hits(), store.misses()), (1, 1, 1));
+        let entry = fs::read_to_string(entry_path(&dir, "k1")).unwrap();
+        let header = entry.lines().next().unwrap();
+        assert!(!header.contains("retries"), "{header}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Entries written while the header still carried a `retries`
+    /// field verify, are recovered on open, and serve their bytes.
+    #[test]
+    fn an_entry_with_a_retries_header_field_still_serves() {
+        let dir = tempdir("retries-field");
+        drop(ResultStore::open(&dir).unwrap());
+        let (key, report) = ("old-key", "{\"old\":1}");
+        let checksum = fnv1a64(format!("{key}{report}").as_bytes(), 0);
+        let header = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"checksum\":\"{checksum:016x}\",\"key_len\":{},\
+             \"report_len\":{},\"setup_nanos\":11,\"run_nanos\":22,\"retries\":1}}",
+            key.len(),
+            report.len()
+        );
+        let path = entry_path(&dir, key);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, format!("{header}\n{key}\n{report}\n")).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!((store.recovered(), store.quarantined()), (1, 0));
+        let hit = store.get(key).expect("the entry serves");
+        assert_eq!(&*hit.report_json, report);
+        assert_eq!((hit.setup_nanos, hit.run_nanos), (11, 22));
         fs::remove_dir_all(&dir).unwrap();
     }
 

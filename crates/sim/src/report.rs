@@ -157,7 +157,7 @@ impl SimReport {
     }
 
     /// The full report as a JSON object with a stable field order
-    /// (schema `flatwalk-report-v1`).
+    /// (schema `flatwalk-report-v2`).
     pub fn to_json(&self) -> Json {
         fn hitmiss(hm: HitMiss) -> Json {
             let mut o = Json::obj();

@@ -42,31 +42,35 @@ use crate::setup::{self, setup_stats, SetupStats};
 use crate::{NativeSimulation, RivalKind, SimOptions, SimReport, TranslationConfig};
 
 /// How one cell of a grid ended: its report, or a structured failure
-/// record. Each cell runs inside its own fault domain
-/// (`catch_unwind` + bounded retries + a soft wall-clock deadline), so
-/// one bad cell never takes down the rest of the grid.
+/// record. Each cell runs once, inside its own fault domain
+/// (`catch_unwind` + a soft wall-clock deadline), so one bad cell never
+/// takes down the rest of the grid. A cell is a pure function of its
+/// inputs (seeded RNGs, seeded fault plan), so it is never re-run: a
+/// second run would fail the same way.
 #[derive(Debug, Clone)]
 // `Ok` is the overwhelmingly common variant; boxing its report to
 // shrink the rare `Failed` would cost an allocation per cell.
 #[allow(clippy::large_enum_variant)]
 pub enum CellOutcome {
-    /// The cell completed (possibly after retries).
+    /// The cell completed.
     Ok {
         /// The simulation's report.
         report: SimReport,
-        /// Nanoseconds the successful attempt spent building (0 for
-        /// fully cached setups).
+        /// Nanoseconds the cell spent building (0 for fully cached
+        /// setups).
         setup_nanos: u64,
-        /// Nanoseconds the successful attempt spent simulating.
+        /// Nanoseconds the cell spent simulating.
         run_nanos: u64,
-        /// Failed attempts before this one succeeded.
+        /// Always 0: cells are never re-run. Kept for callers that
+        /// still destructure it.
         retries: u32,
     },
-    /// Every attempt failed (structured `SimError` or caught panic).
+    /// The cell failed (structured `SimError` or caught panic).
     Failed {
-        /// Human-readable description of the last failure.
+        /// Human-readable description of the failure.
         error: String,
-        /// Failed attempts beyond the first.
+        /// Always 0: cells are never re-run. Kept for callers that
+        /// still destructure it.
         retries: u32,
     },
 }
@@ -90,7 +94,7 @@ impl CellOutcome {
 /// its workers. Once [`cancel`](CancelFlag::cancel)led, every
 /// not-yet-started cell completes immediately as
 /// [`CellOutcome::Failed`] with a `"cancelled"` error, and a *running*
-/// attempt stops at its next engine batch boundary (the engine polls
+/// cell stops at its next engine batch boundary (the engine polls
 /// [`span_checkpoint`] between spans — never inside one, so every
 /// span's state transitions stay byte-identical to an uninterrupted
 /// run; the interrupted cell simply reports `Failed` instead of a
@@ -116,21 +120,11 @@ impl CancelFlag {
     }
 }
 
-/// Bounded retry budget per cell: `FLATWALK_CELL_RETRIES` (default 1 —
-/// one re-attempt after a failure).
-fn cell_retries() -> u32 {
-    std::env::var("FLATWALK_CELL_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 /// Per-cell wall-clock deadline: `FLATWALK_CELL_DEADLINE_SECS`
-/// (default 300). A running attempt that crosses the deadline is
+/// (default 300). A running cell that crosses the deadline is
 /// cancelled cooperatively at its next engine batch boundary (see
-/// [`span_checkpoint`]) and the deadline also gates retries, so a
-/// deadline-exceeded cell fails promptly instead of only being
-/// reported late.
+/// [`span_checkpoint`]), so a deadline-exceeded cell fails promptly
+/// instead of only being reported late.
 fn cell_deadline() -> Duration {
     let secs = std::env::var("FLATWALK_CELL_DEADLINE_SECS")
         .ok()
@@ -139,10 +133,10 @@ fn cell_deadline() -> Duration {
     Duration::from_secs(secs)
 }
 
-/// The interrupt state one in-flight cell attempt is guarded by:
-/// everything [`span_checkpoint`] consults between engine spans.
+/// The interrupt state one running cell is guarded by: everything
+/// [`span_checkpoint`] consults between engine spans.
 #[derive(Debug, Clone)]
-struct AttemptGuard {
+struct CellGuard {
     /// Absolute wall-clock deadline (cell start + `cell_deadline()`).
     deadline: Instant,
     /// Cooperative cancellation from the cell's owner (a serve job's
@@ -153,15 +147,15 @@ struct AttemptGuard {
 }
 
 thread_local! {
-    /// The attempt guard armed by [`run_cell_guarded`] for the cell
-    /// currently executing on this thread, if any. Cells run wholly on
-    /// one worker thread, so a thread-local (not a task context) is the
-    /// right scope — and costs one TLS read per engine span.
-    static ATTEMPT_GUARD: RefCell<Option<AttemptGuard>> = const { RefCell::new(None) };
+    /// The guard armed by [`run_cell_guarded`] for the cell currently
+    /// executing on this thread, if any. Cells run wholly on one worker
+    /// thread, so a thread-local (not a task context) is the right
+    /// scope — and costs one TLS read per engine span.
+    static CELL_GUARD: RefCell<Option<CellGuard>> = const { RefCell::new(None) };
 
     /// Stack of scoped cancel flags (mirrors `flatwalk_faults`'
-    /// scoped-plan stack): the innermost flag guards every cell attempt
-    /// started inside the scope.
+    /// scoped-plan stack): the innermost flag guards every cell started
+    /// inside the scope.
     static SCOPED_CANCEL: RefCell<Vec<CancelFlag>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -182,12 +176,12 @@ impl Drop for ScopedCancel {
     }
 }
 
-/// Installs `flag` as the ambient cancel source for every cell attempt
-/// started on this thread until the returned guard is dropped. Scopes
-/// nest; the innermost wins. `flatwalk-serve` wraps each served cell's
+/// Installs `flag` as the ambient cancel source for every cell started
+/// on this thread until the returned guard is dropped. Scopes nest;
+/// the innermost wins. `flatwalk-serve` wraps each served cell's
 /// execution in a scope carrying the owning job's flag, so cancelling
 /// the job interrupts the running cell at its next batch boundary.
-/// Attempts inside a scope also yield their core at every batch
+/// Cells inside a scope also yield their core at every batch
 /// boundary (see [`span_checkpoint`]): a served simulation shares the
 /// cores with the server's cached answers.
 pub fn scoped_cancel(flag: CancelFlag) -> ScopedCancel {
@@ -202,41 +196,41 @@ fn ambient_cancel() -> Option<CancelFlag> {
     SCOPED_CANCEL.with(|s| s.borrow().last().cloned())
 }
 
-/// Arms [`ATTEMPT_GUARD`] for the dynamic extent of one cell attempt;
+/// Arms [`CELL_GUARD`] for the dynamic extent of one cell run;
 /// disarms on drop (including unwinds out of `catch_unwind`).
-struct ArmedAttempt;
+struct ArmedCell;
 
-impl ArmedAttempt {
-    fn arm(guard: AttemptGuard) -> Self {
-        ATTEMPT_GUARD.with(|g| *g.borrow_mut() = Some(guard));
-        ArmedAttempt
+impl ArmedCell {
+    fn arm(guard: CellGuard) -> Self {
+        CELL_GUARD.with(|g| *g.borrow_mut() = Some(guard));
+        ArmedCell
     }
 }
 
-impl Drop for ArmedAttempt {
+impl Drop for ArmedCell {
     fn drop(&mut self) {
-        ATTEMPT_GUARD.with(|g| *g.borrow_mut() = None);
+        CELL_GUARD.with(|g| *g.borrow_mut() = None);
     }
 }
 
 /// The engine's between-spans poll point. Called by
 /// `engine::run_single` before each batched span and by
 /// `engine::run_multicore` before each round; outside a guarded cell
-/// attempt it is a no-op returning `Ok(())`.
+/// it is a no-op returning `Ok(())`.
 ///
 /// Applies the active fault plan's injected slow-cell delay (pure wall
 /// time — no modeled quantity changes), then reports whether the
-/// attempt should stop: the owner's [`CancelFlag`] fired, or the cell's
+/// cell should stop: the owner's [`CancelFlag`] fired, or the cell's
 /// wall-clock deadline passed. The engine converts an `Err` into a
 /// structured `WalkError::Cancelled` failure for this cell only — spans
 /// already completed keep their byte-identical effects.
 ///
-/// An attempt with an owner (see [`scoped_cancel`]) also gives up its
+/// A cell with an owner (see [`scoped_cancel`]) also gives up its
 /// core here, so the owner's other work waits at most one span for it
 /// rather than the rest of a scheduler time slice. With nothing else
 /// runnable the yield returns at once; it changes no modeled quantity.
 pub fn span_checkpoint() -> Result<(), &'static str> {
-    ATTEMPT_GUARD.with(|g| {
+    CELL_GUARD.with(|g| {
         let guard = g.borrow();
         let Some(guard) = guard.as_ref() else {
             return Ok(());
@@ -688,9 +682,7 @@ pub fn run_cells(label: &'static str, cells: Vec<Cell>, threads: usize) -> Vec<S
         .into_iter()
         .map(|o| match o {
             CellOutcome::Ok { report, .. } => report,
-            CellOutcome::Failed { error, retries } => {
-                panic!("cell failed after {retries} retries: {error}")
-            }
+            CellOutcome::Failed { error, .. } => panic!("cell failed: {error}"),
         })
         .collect()
 }
@@ -701,12 +693,12 @@ pub fn run_cells(label: &'static str, cells: Vec<Cell>, threads: usize) -> Vec<S
 /// finishes (feeding the progress line's walk-hit ratio and the
 /// `--json` report's aggregate metrics).
 ///
-/// Each cell executes in its own fault domain: panics and
-/// [`SimError`](crate::SimError)s are caught, retried up to
-/// `FLATWALK_CELL_RETRIES` times while the soft
-/// `FLATWALK_CELL_DEADLINE_SECS` wall-clock deadline permits, and
-/// reported as [`CellOutcome::Failed`] while the rest of the grid runs
-/// to completion. An installed poison fault plan
+/// Each cell runs once, in its own fault domain: panics and
+/// [`SimError`](crate::SimError)s are caught, a cell that crosses the
+/// soft `FLATWALK_CELL_DEADLINE_SECS` wall-clock deadline is stopped
+/// at its next engine batch boundary, and a failed cell is reported as
+/// [`CellOutcome::Failed`] while the rest of the grid runs to
+/// completion. An installed poison fault plan
 /// ([`flatwalk_faults::FaultPlan::poisons`]) fails its designated cell
 /// here, before the simulation is even built.
 pub fn run_cells_timed(label: &'static str, cells: Vec<Cell>, threads: usize) -> Vec<CellOutcome> {
@@ -717,7 +709,7 @@ pub fn run_cells_timed(label: &'static str, cells: Vec<Cell>, threads: usize) ->
 /// *and* between engine batch spans: once cancelled, every
 /// not-yet-started cell completes immediately as
 /// [`CellOutcome::Failed`] with a `"cancelled"` error, and already
-/// running attempts stop at their next batch boundary (completed spans
+/// running cells stop at their next batch boundary (completed spans
 /// keep their byte-identical effects; the interrupted cell reports
 /// `Failed`, never a partial result).
 pub fn run_cells_timed_cancellable(
@@ -741,7 +733,7 @@ pub fn run_cells_timed_cancellable(
                     retries: 0,
                 };
             }
-            // Running attempts also observe the flag — at the next
+            // Running cells also observe the flag — at the next
             // engine batch boundary, via the scoped ambient cancel.
             let _cancel_scope = cancel.map(|c| scoped_cancel(c.clone()));
             run_cell_guarded(index, total, &cell)
@@ -751,11 +743,11 @@ pub fn run_cells_timed_cancellable(
 
 /// Runs a single grid cell inside the same fault domain as
 /// [`run_cells_timed`] — poison check against `(index, total)`, panic
-/// and [`SimError`](crate::SimError) capture, bounded retries, soft
-/// deadline, and global metrics merge on success. `flatwalk-serve`
-/// executes cells one at a time through this entry point so that a
-/// served cell's outcome is byte-identical to the same cell's outcome
-/// inside a whole-grid [`run_cells_timed`] run.
+/// and [`SimError`](crate::SimError) capture, soft deadline, and
+/// global metrics merge on success. `flatwalk-serve` executes cells one
+/// at a time through this entry point so that a served cell's outcome
+/// is byte-identical to the same cell's outcome inside a whole-grid
+/// [`run_cells_timed`] run.
 pub fn run_cell_outcome(index: usize, total: usize, cell: &Cell) -> CellOutcome {
     run_cell_guarded(index, total, cell)
 }
@@ -764,68 +756,50 @@ pub fn run_cell_outcome(index: usize, total: usize, cell: &Cell) -> CellOutcome 
 fn run_cell_guarded(index: usize, total: usize, cell: &Cell) -> CellOutcome {
     let _cell_span = flatwalk_obs::span::enter("cell");
     let plan = flatwalk_faults::active();
-    let max_retries = cell_retries();
-    let deadline = cell_deadline();
-    let started = Instant::now();
     let cancel = ambient_cancel();
-    let slow = plan
-        .as_deref()
-        .and_then(|p| p.slow_span_delay(index, total));
-    let mut retries = 0u32;
-    loop {
-        setup::begin_cell_timing();
-        // One attempt span per retry-loop iteration, covering the
-        // poison check, build, and run (retries show up as repeated
-        // `cell;cell.attempt` closes under one `cell`).
-        let _attempt_span = flatwalk_obs::span::enter("cell.attempt");
-        // Armed for exactly this attempt: the engine polls
-        // `span_checkpoint` between spans, so a cancelled or
-        // deadline-exceeded attempt stops at the next batch boundary.
-        let armed = ArmedAttempt::arm(AttemptGuard {
-            deadline: started + deadline,
-            cancel: cancel.clone(),
-            slow,
-        });
-        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = plan.as_deref() {
-                if plan.poisons(index, total) {
-                    panic!(
-                        "poison cell: fault plan seed {} poisons cell {index} of {total}",
-                        plan.seed
-                    );
-                }
+    setup::begin_cell_timing();
+    // Armed for the whole run: the engine polls `span_checkpoint`
+    // between spans, so a cancelled or deadline-exceeded cell stops at
+    // the next batch boundary.
+    let armed = ArmedCell::arm(CellGuard {
+        deadline: Instant::now() + cell_deadline(),
+        cancel: cancel.clone(),
+        slow: plan
+            .as_deref()
+            .and_then(|p| p.slow_span_delay(index, total)),
+    });
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = plan.as_deref() {
+            if plan.poisons(index, total) {
+                panic!(
+                    "poison cell: fault plan seed {} poisons cell {index} of {total}",
+                    plan.seed
+                );
             }
-            cell.try_run()
-        }));
-        drop(armed);
-        let error = match attempt {
-            Ok(Ok(report)) => {
-                let (setup_nanos, run_nanos) = setup::cell_timing();
-                flatwalk_obs::metrics::merge_global(&report.metrics());
-                return CellOutcome::Ok {
-                    report,
-                    setup_nanos,
-                    run_nanos,
-                    retries,
-                };
-            }
-            Ok(Err(e)) => e.to_string(),
-            Err(payload) => panic_message(payload.as_ref()),
-        };
-        // Never retry a cancelled attempt: the owner asked the cell to
-        // stop, so burning the remaining budget re-running it would
-        // defeat the interruption.
-        if cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
-            return CellOutcome::Failed {
-                error: format!("cancelled mid-run: cell {index} of {total}: {error}"),
-                retries,
+        }
+        cell.try_run()
+    }));
+    drop(armed);
+    let error = match run {
+        Ok(Ok(report)) => {
+            let (setup_nanos, run_nanos) = setup::cell_timing();
+            flatwalk_obs::metrics::merge_global(&report.metrics());
+            return CellOutcome::Ok {
+                report,
+                setup_nanos,
+                run_nanos,
+                retries: 0,
             };
         }
-        if retries >= max_retries || started.elapsed() >= deadline {
-            return CellOutcome::Failed { error, retries };
-        }
-        retries += 1;
-    }
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => panic_message(payload.as_ref()),
+    };
+    let error = if cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
+        format!("cancelled mid-run: cell {index} of {total}: {error}")
+    } else {
+        error
+    };
+    CellOutcome::Failed { error, retries: 0 }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1002,10 +976,9 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
-                CellOutcome::Failed { error, retries } => {
+                CellOutcome::Failed { error, .. } => {
                     assert!(error.contains("cancelled"), "{error}");
                     assert!(error.contains(&format!("cell {i} of 3")), "{error}");
-                    assert_eq!(*retries, 0);
                 }
                 CellOutcome::Ok { .. } => panic!("cell {i} ran despite cancellation"),
             }
@@ -1042,9 +1015,8 @@ mod tests {
         let outcome = run_cell_outcome(0, 1, &cell);
         canceller.join().expect("canceller thread");
         match outcome {
-            CellOutcome::Failed { error, retries } => {
-                assert!(error.contains("cancelled"), "{error}");
-                assert_eq!(retries, 0, "a cancelled attempt is never retried");
+            CellOutcome::Failed { error, .. } => {
+                assert!(error.contains("cancelled mid-run: cell 0 of 1"), "{error}");
                 // "access #N to VA" names one access: the VA the cell's
                 // stream produces at position N.
                 let (pos, va) = error
@@ -1069,18 +1041,61 @@ mod tests {
         }
     }
 
+    /// A cell is a pure function of its inputs, so a failed cell is
+    /// never re-run: whether its runner panics or returns a
+    /// `SimError`, the runner is called exactly once.
     #[test]
-    fn span_checkpoint_is_a_noop_outside_a_guarded_attempt() {
+    fn a_failing_cell_runs_exactly_once() {
+        static PANIC_CALLS: AtomicUsize = AtomicUsize::new(0);
+        static ERROR_CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn panics(_: &Cell, _: RivalKind) -> Result<SimReport, crate::SimError> {
+            PANIC_CALLS.fetch_add(1, Ordering::Relaxed);
+            panic!("rival under test panicked");
+        }
+        fn errs(cell: &Cell, _: RivalKind) -> Result<SimReport, crate::SimError> {
+            ERROR_CALLS.fetch_add(1, Ordering::Relaxed);
+            Err(crate::SimError {
+                scheme: "rival under test",
+                workload: cell.workload.name.to_string(),
+                core: None,
+                va: flatwalk_types::VirtAddr::new(0x1000),
+                stream_pos: 0,
+                source: flatwalk_pt::WalkError::Malformed,
+                detail: None,
+            })
+        }
+        let cases: [(RivalRunner, &AtomicUsize); 2] =
+            [(panics, &PANIC_CALLS), (errs, &ERROR_CALLS)];
+        for (runner, calls) in cases {
+            let cell = Cell::rival(
+                flatwalk_workloads::WorkloadSpec::by_name("gups")
+                    .expect("gups workload exists")
+                    .scaled_down(1 << 13),
+                TranslationConfig::baseline(),
+                FragmentationScenario::NONE,
+                SimOptions::small_test(),
+                RivalKind::Victima,
+                runner,
+            );
+            match run_cell_outcome(0, 1, &cell) {
+                CellOutcome::Failed { error, .. } => {
+                    assert!(error.contains("rival under test"), "{error}");
+                }
+                CellOutcome::Ok { .. } => panic!("a failing runner produced a report"),
+            }
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "the cell ran once");
+        }
+    }
+
+    #[test]
+    fn span_checkpoint_is_a_noop_outside_a_guarded_cell() {
         assert!(span_checkpoint().is_ok());
     }
 
     #[test]
-    fn retry_and_deadline_env_defaults() {
-        // Not set by any test harness: documents the defaults the fault
+    fn deadline_env_default() {
+        // Not set by any test harness: documents the default the fault
         // domain runs with.
-        if std::env::var("FLATWALK_CELL_RETRIES").is_err() {
-            assert_eq!(cell_retries(), 1);
-        }
         if std::env::var("FLATWALK_CELL_DEADLINE_SECS").is_err() {
             assert_eq!(cell_deadline(), Duration::from_secs(300));
         }

@@ -5,7 +5,9 @@
 # default thread count) and compares its stdout byte for byte with
 # tests/goldens/quick/<bin>.txt. The goldens were captured at
 # --quick --threads 1; every binary's stdout is independent of the
-# thread count, so any difference means modelled output moved.
+# thread count, so any difference means modelled output moved. With
+# progress off a binary has nothing to say on stderr, so any stderr
+# output fails the check too.
 #
 # A difference after a change that should not move the model is a bug
 # in that change: fix the code, not the golden. After a deliberate model
@@ -56,12 +58,16 @@ for src in crates/bench/src/bin/*.rs; do
         echo "FAIL $bin: exited non-zero"
         tail -n 20 "$out/$bin.err"
         status=1
-    elif cmp -s "$goldens/$bin.txt" "$out/$bin.txt"; then
-        echo "ok   $bin ($(($(date +%s) - started)) s)"
-    else
+    elif ! cmp -s "$goldens/$bin.txt" "$out/$bin.txt"; then
         echo "DIFF $bin: stdout differs from $goldens/$bin.txt"
         diff "$goldens/$bin.txt" "$out/$bin.txt" | head -n 20 || true
         status=1
+    elif [ -s "$out/$bin.err" ]; then
+        echo "ERR  $bin: wrote to stderr with FLATWALK_PROGRESS=0"
+        head -n 20 "$out/$bin.err"
+        status=1
+    else
+        echo "ok   $bin ($(($(date +%s) - started)) s)"
     fi
 done
 

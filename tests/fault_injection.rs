@@ -146,12 +146,11 @@ fn poison_fails_exactly_one_cell_and_completes_the_rest() {
             CellOutcome::Ok { report, .. } => {
                 assert!(report.instructions > 0, "cell {i} produced an empty report");
             }
-            CellOutcome::Failed { error, retries } => {
+            CellOutcome::Failed { error, .. } => {
                 assert!(
                     error.contains("poison"),
                     "cell {i} failed for the wrong reason: {error}"
                 );
-                assert!(*retries >= 1, "poison failure must have been retried");
             }
         }
     }

@@ -172,12 +172,12 @@ fn spans_do_not_perturb_reports_and_nest_well_formed() {
         );
     }
     // The runner/engine taxonomy must actually nest: a measure-phase
-    // span under an attempt under its cell.
+    // span under its cell.
     assert!(
         spans
             .iter()
-            .any(|(_, path, _)| path == "cell;cell.attempt;engine.measure"),
-        "expected the nested cell;cell.attempt;engine.measure path"
+            .any(|(_, path, _)| path == "cell;engine.measure"),
+        "expected the nested cell;engine.measure path"
     );
 }
 
