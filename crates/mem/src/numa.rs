@@ -15,6 +15,7 @@
 //! high bits, which is how per-node page-table replicas (Mitosis) place
 //! each replica in its reader's local memory.
 
+use flatwalk_types::key::KeyWriter;
 use flatwalk_types::PhysAddr;
 
 /// Upper bound on modelled nodes, sized so per-node counters stay a
@@ -188,6 +189,28 @@ impl NumaTopology {
             .flatten()
             .unwrap_or(default_latency);
         local + self.hop_latency * self.hops(from, home)
+    }
+
+    /// Writes every field of the topology into a canonical content
+    /// key. Unlike [`NumaTopology::signature`], a hash, the text is
+    /// equal only for equal topologies.
+    pub fn write_key(&self, key: &mut KeyWriter) {
+        let NumaTopology {
+            node_latencies,
+            hop_latency,
+            interleave_shift,
+            interconnect,
+        } = self;
+        key.uint(node_latencies.len() as u64);
+        for &latency in node_latencies {
+            key.opt_uint(latency);
+        }
+        key.uint(*hop_latency)
+            .uint(u64::from(*interleave_shift))
+            .text(match interconnect {
+                Interconnect::FullMesh => "mesh",
+                Interconnect::Ring => "ring",
+            });
     }
 
     /// Content signature for setup-cache keys: any change to the

@@ -5,8 +5,12 @@
 //! matter for stable, diffable schemas:
 //!
 //! * **Key order is insertion order** — objects are backed by a
-//!   `Vec<(String, Json)>`, so a report renders its fields in the order
-//!   the code added them, every run, on every platform.
+//!   `Vec<(Key, Json)>`, so a report renders its fields in the order
+//!   the code added them, every run, on every platform. A [`Key`] of
+//!   at most [`Key::INLINE`] bytes is stored in place and a longer one
+//!   is boxed. Every key of a served `cell` event is short enough; of
+//!   the `--json` reports' keys only the `bench.cell_wall.*` ones are
+//!   not.
 //! * **No NaN/Inf leakage** — JSON has no encoding for non-finite
 //!   numbers; [`Json::f64`] maps them to `null` instead of emitting
 //!   text that `jq`/`python` would reject.
@@ -14,12 +18,16 @@
 //! The parser, [`parse`], is on the serving path as well: it decodes
 //! every `flatwalk-serve` request, every result-store entry header,
 //! every event line `flatwalk-client` reads and every trace line
-//! `flatwalk-trace` reads. Two properties keep any one line cheap,
-//! whoever sent it:
+//! `flatwalk-trace` reads. It allocates once per array, object, string
+//! value and boxed key, and nothing per inline key: items and members
+//! collect on two scratch stacks, and each container is allocated at
+//! its final length when it closes. Two properties keep any one line
+//! cheap, whoever sent it:
 //!
-//! * **Linear time** — a string is copied run by run between escapes,
-//!   so each byte of a string is searched once and UTF-8-validated
-//!   once.
+//! * **Linear time** — each byte is scanned once. A string is sliced
+//!   from the `&str` input between its ASCII delimiters, so it needs no
+//!   second UTF-8 validation; escapes decode into one reused buffer.
+//!   Integers are accumulated while their digits are scanned.
 //! * **Bounded nesting** — arrays and objects nest at most 128 levels
 //!   deep, so a deeply nested line is a [`ParseError`], not a stack
 //!   overflow. The deepest documents the repository writes, the
@@ -47,7 +55,67 @@ pub enum Json {
     /// An array.
     Array(Vec<Json>),
     /// An object with insertion-ordered keys.
-    Object(Vec<(String, Json)>),
+    Object(Vec<(Key, Json)>),
+}
+
+/// An object key: stored in place up to [`Key::INLINE`] bytes, boxed
+/// beyond.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Inline { len: u8, bytes: [u8; Key::INLINE] },
+    Boxed(Box<str>),
+}
+
+impl Key {
+    /// The longest key stored without a heap allocation. It keeps a
+    /// key as small as a `String`, so an object member is no larger
+    /// than with `String` keys.
+    pub const INLINE: usize = 22;
+
+    /// The key's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline key holds a whole str"),
+            KeyRepr::Boxed(text) => text,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            KeyRepr::Boxed(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Key {
+    fn from(text: &str) -> Key {
+        if text.len() > Key::INLINE {
+            return Key(KeyRepr::Boxed(text.into()));
+        }
+        let mut bytes = [0; Key::INLINE];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Key(KeyRepr::Inline {
+            len: text.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 impl Json {
@@ -73,7 +141,7 @@ impl Json {
     /// Panics if `self` is not an object.
     pub fn push(&mut self, key: &str, value: impl Into<Json>) -> &mut Json {
         match self {
-            Json::Object(fields) => fields.push((key.to_string(), value.into())),
+            Json::Object(fields) => fields.push((Key::from(key), value.into())),
             other => panic!("push on non-object Json: {other:?}"),
         }
         self
@@ -82,7 +150,10 @@ impl Json {
     /// Looks up a key in an object (first match; `None` elsewhere).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Object(fields) => fields
+                .iter()
+                .find(|(k, _)| k.as_bytes() == key.as_bytes())
+                .map(|(_, v)| v),
             _ => None,
         }
     }
@@ -142,7 +213,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_escaped(out, k.as_str());
                     out.push(':');
                     v.write(out);
                 }
@@ -262,12 +333,18 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] on malformed input, trailing garbage, or
 /// arrays and objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters"));
+    let mut parser = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        items: Vec::new(),
+        members: Vec::new(),
+        unescaped: String::new(),
+    };
+    let value = parser.value(0)?;
+    parser.skip_ws();
+    if parser.pos != parser.bytes.len() {
+        return Err(err(parser.pos, "trailing characters"));
     }
     Ok(value)
 }
@@ -280,180 +357,218 @@ fn err(offset: usize, message: &'static str) -> ParseError {
     ParseError { offset, message }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// One parse: the input, the cursor, and the scratch space every
+/// container and escaped string of the document reuses.
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Items of the arrays being parsed, innermost array's last.
+    items: Vec<Json>,
+    /// Members of the objects being parsed, innermost object's last.
+    members: Vec<(Key, Json)>,
+    /// The decoded text of the last string that held escapes.
+    unescaped: String,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8, message: &'static str) -> Result<(), ParseError> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, message))
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-/// `depth` counts the arrays and objects enclosing this value.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(*pos, "nesting too deep")),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']'")),
+    fn expect(&mut self, c: u8, message: &'static str) -> Result<(), ParseError> {
+        if self.bytes.get(self.pos) == Some(&c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(err(self.pos, message))
+        }
+    }
+
+    /// `depth` counts the arrays and objects enclosing this value.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            None => Err(err(self.pos, "unexpected end of input")),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(self.pos, "nesting too deep")),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?.to_owned())),
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn literal(&mut self, lit: &'static str, value: Json) -> Result<Json, ParseError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(err(self.pos, "invalid literal"))
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1;
+        let base = self.items.len();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(Json::Array(Vec::new()));
+        }
+        loop {
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Array(self.items.drain(base..).collect()));
                 }
+                _ => return Err(err(self.pos, "expected ',' or ']'")),
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':', "expected ':'")?;
-                fields.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}'")),
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1;
+        let base = self.members.len();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(Vec::new()));
+        }
+        loop {
+            self.skip_ws();
+            let key = Key::from(self.string()?);
+            self.skip_ws();
+            self.expect(b':', "expected ':'")?;
+            let value = self.value(depth + 1)?;
+            self.members.push((key, value));
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Object(self.members.drain(base..).collect()));
                 }
+                _ => return Err(err(self.pos, "expected ',' or '}'")),
             }
         }
-        Some(_) => parse_number(bytes, pos),
     }
-}
 
-fn parse_lit(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &'static str,
-    value: Json,
-) -> Result<Json, ParseError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, "invalid literal"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    expect(bytes, pos, b'"', "expected '\"'")?;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next delimiter in one slice. Both
-        // delimiters are ASCII, so the run starts and ends on char
-        // boundaries of the `&str` input, and each byte is validated
-        // once: the parse stays linear in the input.
-        let end = bytes[*pos..]
+    /// Advances the cursor to the next `"` or `\` (or the end of the
+    /// input). Both are ASCII, so the text passed over starts and ends
+    /// on char boundaries of the input.
+    fn skip_run(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
-            .map_or(bytes.len(), |n| *pos + n);
-        let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-        out.push_str(run);
-        *pos = end;
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(_) => {
-                // The run stopped at a backslash: decode one escape.
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates are not produced by our writer;
-                        // map unpaired ones to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-        }
+            .unwrap_or(rest.len());
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut float = false;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
+    /// Parses a string. Text without escapes is a slice of the input;
+    /// text with escapes is decoded into the reused buffer.
+    fn string(&mut self) -> Result<&str, ParseError> {
+        self.expect(b'"', "expected '\"'")?;
+        let start = self.pos;
+        self.skip_run();
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(&self.text[start..self.pos - 1]);
+        }
+        self.unescaped.clear();
+        self.unescaped.push_str(&self.text[start..self.pos]);
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err(err(self.pos, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(&self.unescaped);
+                }
+                Some(_) => {
+                    // The run stopped at a backslash: decode one escape.
+                    self.pos += 1;
+                    let decoded = match self.bytes.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let at = self.pos;
+                            let hex = self
+                                .bytes
+                                .get(at + 1..at + 5)
+                                .ok_or_else(|| err(at, "truncated \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| err(at, "bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err(at, "bad \\u escape"))?;
+                            self.pos += 4;
+                            // Surrogates are not produced by our writer;
+                            // map unpaired ones to the replacement char.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        _ => return Err(err(self.pos, "bad escape")),
+                    };
+                    self.unescaped.push(decoded);
+                    self.pos += 1;
+                    let start = self.pos;
+                    self.skip_run();
+                    self.unescaped.push_str(&self.text[start..self.pos]);
+                }
             }
-            _ => break,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(err(start, "expected a value"));
-    }
-    if !float {
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Json::UInt(v));
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        let negative = self.bytes.get(self.pos) == Some(&b'-');
+        if negative {
+            self.pos += 1;
         }
-        if let Ok(v) = text.parse::<i64>() {
-            return Ok(Json::Int(v));
+        // The digits' value while it fits a u64; `str::parse` takes
+        // floats and integers out of range.
+        let mut magnitude = Some(0u64);
+        let mut float = false;
+        while let Some(&c) = self.bytes.get(self.pos) {
+            match c {
+                b'0'..=b'9' => {
+                    magnitude = magnitude
+                        .and_then(|m| m.checked_mul(10))
+                        .and_then(|m| m.checked_add(u64::from(c - b'0')));
+                    self.pos += 1;
+                }
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
         }
+        if self.pos == start + usize::from(negative) {
+            return Err(err(start, "expected a value"));
+        }
+        match magnitude {
+            Some(v) if !float && !negative => return Ok(Json::UInt(v)),
+            Some(v) if !float && v <= 1 << 63 => return Ok(Json::Int((v as i64).wrapping_neg())),
+            _ => {}
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Json::f64)
+            .map_err(|_| err(start, "bad number"))
     }
-    text.parse::<f64>()
-        .map(Json::f64)
-        .map_err(|_| err(start, "bad number"))
 }
 
 #[cfg(test)]
@@ -493,10 +608,14 @@ mod tests {
             .push("pi", 3.25f64)
             .push("n", u64::MAX)
             .push("neg", -7i64);
+        // Containers that close after their siblings were parsed.
+        let pair = |a: u64, b: u64| Json::Array(vec![Json::from(a), Json::from(b)]);
+        let nested = vec![Json::Null, pair(5, 1577), pair(13, 5812), Json::obj()];
         let mut o = Json::obj();
         o.push("name", "walk✓")
             .push("flags", Json::Array(vec![Json::Bool(true), Json::Null]))
-            .push("inner", inner);
+            .push("inner", inner)
+            .push("nested", Json::Array(nested));
         let parsed = parse(&o.to_string()).unwrap();
         assert_eq!(parsed, o);
         // And the re-rendered text is byte-identical (stable schema).
@@ -625,6 +744,81 @@ mod tests {
             .expect("4 MiB and 100 000 strings parsed within 2 s");
         parser.join().expect("parser thread");
         assert_eq!(parsed, [Ok(long), Ok(many)]);
+    }
+
+    #[test]
+    fn keys_round_trip_on_both_sides_of_the_inline_bound() {
+        let inline = "k".repeat(Key::INLINE);
+        let boxed = "k".repeat(Key::INLINE + 1);
+        assert!(matches!(
+            Key::from(inline.as_str()).0,
+            KeyRepr::Inline { .. }
+        ));
+        assert!(matches!(Key::from(boxed.as_str()).0, KeyRepr::Boxed(_)));
+        // A 22-byte key of multi-byte chars stays inline and whole.
+        let wide = "✓".repeat(7) + "a";
+        assert_eq!(wide.len(), Key::INLINE);
+        for key in [
+            "",
+            inline.as_str(),
+            boxed.as_str(),
+            wide.as_str(),
+            "esc\"aped\\key\n",
+            "nön-ASCII ✓ кл",
+        ] {
+            let mut o = Json::obj();
+            o.push(key, 1u64);
+            let text = o.to_string();
+            let parsed = parse(&text).unwrap();
+            assert_eq!(parsed, o, "{key:?}");
+            assert_eq!(parsed.to_string(), text);
+            assert_eq!(parsed.get(key), Some(&Json::UInt(1)), "{key:?}");
+        }
+        // Escapes in the text decode before the key is stored.
+        let parsed = parse(r#"{"a\u0062c":1,"\u00e9\u2713":2}"#).unwrap();
+        assert_eq!(parsed.get("abc"), Some(&Json::UInt(1)));
+        assert_eq!(parsed.get("é✓"), Some(&Json::UInt(2)));
+    }
+
+    #[test]
+    fn duplicate_keys_keep_their_order_and_get_returns_the_first() {
+        let text = r#"{"k":1,"other":2,"k":3}"#;
+        let parsed = parse(text).unwrap();
+        assert_eq!(parsed.get("k"), Some(&Json::UInt(1)));
+        assert_eq!(parsed.to_string(), text);
+        let mut built = Json::obj();
+        built.push("k", 1u64).push("other", 2u64).push("k", 3u64);
+        assert_eq!(parsed, built);
+    }
+
+    #[test]
+    fn numbers_decode_as_before() {
+        for (text, value) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("18446744073709551615", Json::UInt(u64::MAX)),
+            ("18446744073709551616", Json::Float(18446744073709551616.0)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
+            ("-9223372036854775809", Json::Float(-9223372036854775809.0)),
+            ("007", Json::UInt(7)),
+            ("2.5e3", Json::Float(2500.0)),
+            ("+1", Json::Float(1.0)),
+        ] {
+            assert_eq!(parse(text), Ok(value), "{text}");
+        }
+        for (text, offset, message) in [
+            ("-", 0, "expected a value"),
+            ("[1,]", 3, "expected a value"),
+            ("[-x]", 1, "expected a value"),
+            ("1-2", 0, "bad number"),
+            ("-.", 0, "bad number"),
+            ("[1 2]", 3, "expected ',' or ']'"),
+            ("{\"a\" 1}", 5, "expected ':'"),
+            ("{1:2}", 1, "expected '\"'"),
+            ("nul", 0, "invalid literal"),
+        ] {
+            assert_eq!(parse(text), Err(err(offset, message)), "{text}");
+        }
     }
 
     #[test]

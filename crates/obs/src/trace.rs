@@ -169,7 +169,8 @@ pub struct ServeRecord<'a> {
     pub op: &'a str,
     /// Server-assigned job id (0 when the event precedes assignment).
     pub job: u64,
-    /// Free-form detail (grid name, cell label, reject reason, …).
+    /// Free-form detail (grid name, a cell's key content address,
+    /// reject reason, …).
     pub detail: &'a str,
 }
 

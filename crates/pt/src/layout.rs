@@ -1,5 +1,6 @@
 //! Page-table layouts: which adjacent levels are merged (flattened).
 
+use flatwalk_types::key::KeyWriter;
 use flatwalk_types::Level;
 
 use crate::NodeShape;
@@ -86,6 +87,16 @@ impl Layout {
             }
         }
         Err("layout does not reach L1".into())
+    }
+
+    /// Writes the layout into a canonical content key: the group
+    /// count, then each group's top level (by rank) and depth.
+    pub fn write_key(&self, key: &mut KeyWriter) {
+        let Layout { groups } = self;
+        key.uint(groups.len() as u64);
+        for &LevelGroup { top, depth } in groups {
+            key.uint(u64::from(top.rank())).uint(u64::from(depth));
+        }
     }
 
     /// Conventional 4-level table: `L4 → L3 → L2 → L1` (paper Fig. 2 top).

@@ -6,14 +6,18 @@
 //! report JSON reused byte-for-byte (no re-simulation, no
 //! re-serialization).
 //!
-//! Keys are pure content: the cell's workload, translation config,
-//! scenario and options (via their `Debug` forms, which round-trip
-//! every field including the f64 knobs) plus the active fault-plan
-//! signature. Two cells with equal keys are the same deterministic
-//! computation, so a hit is exact by construction. Poison profiles are
-//! the one grid-*position*-dependent fault (they target `(index,
-//! total)`), so any key formed under an active fault plan also carries
-//! the cell's grid position.
+//! Keys are pure content, written by [`cell_key`] in the canonical
+//! encoding of [`flatwalk_types::key`]: [`MODEL_EPOCH`], then every
+//! field of the cell's workload (its pattern recursively), translation
+//! config, scenario, options (caches, TLBs, PSC and the NUMA topology
+//! field by field) and rival kind, then the active fault-plan
+//! signature. Each keyed type is destructured exhaustively, so a field
+//! added to any of them does not compile until the key covers it. Two
+//! cells with equal keys are the same deterministic computation, so a
+//! hit is exact by construction. Poison profiles are the one
+//! grid-*position*-dependent fault (they target `(index, total)`), so
+//! any key formed under an active fault plan also carries the cell's
+//! grid position.
 //!
 //! The **read path is lock-free**: the key→entry index is a
 //! [`flatwalk_sync::SwapMap`] (epoch-style snapshot swaps), and a hit
@@ -22,9 +26,9 @@
 //! (insert + eviction) serialize on one mutex. Keys are shared
 //! `Arc<str>`s, taken from the caller by lookups and inserts alike: a
 //! lookup copies no key, and the snapshot copy each insert makes costs
-//! a reference count per entry rather than a copy of every key (about
-//! 2 KB each), so an insert stays cheap next to the simulation it
-//! follows however full the cache is.
+//! a reference count per entry rather than a copy of every key, so an
+//! insert stays cheap next to the simulation it follows however full
+//! the cache is.
 //!
 //! The cache is bounded by an approximate byte budget
 //! (`FLATWALK_RESULT_CACHE_MB`, default 64 MB) with LRU eviction
@@ -36,8 +40,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use flatwalk_os::FragmentationScenario;
 use flatwalk_sim::runner::Cell;
+use flatwalk_sim::{
+    CacheConfig, HierarchyConfig, PwcConfig, PwcDepthConfig, RivalKind, SimOptions, TlbConfig,
+    TlbSystemConfig, TranslationConfig,
+};
 use flatwalk_sync::SwapMap;
+use flatwalk_types::key::KeyWriter;
+use flatwalk_types::PageSize;
+use flatwalk_workloads::{Pattern, WorkloadSpec};
 
 /// A finished, cacheable cell execution.
 #[derive(Debug, Clone)]
@@ -61,6 +73,11 @@ impl CachedCell {
     }
 }
 
+/// The model epoch, the first field of every [`cell_key`]. Bump its
+/// number with any change that moves modelled output: keys of the old
+/// epoch then miss, and their cells re-run.
+pub const MODEL_EPOCH: &str = "e1";
+
 /// The content key of one cell under the active fault plan.
 ///
 /// `index`/`total` are folded in only when a fault plan is active
@@ -69,21 +86,202 @@ impl CachedCell {
 /// Fault-free cells stay position-independent — the same cell content
 /// hits the same entry from any grid, any index.
 pub fn cell_key(cell: &Cell, plan_signature: u64, index: usize, total: usize) -> String {
-    let mut key = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:#018x}",
-        cell.workload, cell.config, cell.scenario, cell.opts, plan_signature
-    );
-    // Rival cells run a different computation under the same
-    // workload/config/options: fold the kind (pure data — the runner fn
-    // is determined by it) into the key. Native cells keep their
-    // pre-rival keys byte-identical.
-    if let Some((kind, _)) = cell.rival {
-        key.push_str(&format!("|rival:{kind:?}"));
-    }
+    // The rival runner is not keyed: the scheme crate supplies one
+    // runner, which dispatches on the kind.
+    let Cell {
+        workload,
+        config,
+        scenario,
+        opts,
+        rival,
+    } = cell;
+    let mut key = KeyWriter::with_capacity(512);
+    key.text(MODEL_EPOCH);
+    write_workload(&mut key, workload);
+    write_config(&mut key, config);
+    write_scenario(&mut key, *scenario);
+    write_options(&mut key, opts);
+    match rival.map(|(kind, _runner)| kind) {
+        None => key.text("-"),
+        Some(RivalKind::Victima) => key.text("victima"),
+        Some(RivalKind::Mitosis { replicate }) => key.text("mitosis").flag(replicate),
+    };
+    key.uint(plan_signature);
     if plan_signature != 0 {
-        key.push_str(&format!("|{index}/{total}"));
+        key.uint(index as u64).uint(total as u64);
     }
-    key
+    key.finish()
+}
+
+fn write_workload(key: &mut KeyWriter, workload: &WorkloadSpec) {
+    let WorkloadSpec {
+        name,
+        footprint,
+        pattern,
+        work_per_access,
+        data_exposure,
+        seed,
+    } = workload;
+    key.text(name).uint(*footprint);
+    write_pattern(key, pattern);
+    key.uint(*work_per_access).float(*data_exposure).uint(*seed);
+}
+
+fn write_pattern(key: &mut KeyWriter, pattern: &Pattern) {
+    match pattern {
+        Pattern::Uniform => key.text("uniform"),
+        Pattern::Stream { stride } => key.text("stream").uint(*stride),
+        Pattern::Hot {
+            hot_bytes,
+            hot_prob,
+        } => key.text("hot").uint(*hot_bytes).float(*hot_prob),
+        Pattern::Chase {
+            cluster_bytes,
+            switch_prob,
+        } => key.text("chase").uint(*cluster_bytes).float(*switch_prob),
+        Pattern::Zipf { regions, exponent } => {
+            key.text("zipf").uint(*regions as u64).float(*exponent)
+        }
+        Pattern::Mix(parts) => {
+            key.text("mix").uint(parts.len() as u64);
+            for (weight, part) in parts {
+                key.float(*weight);
+                write_pattern(key, part);
+            }
+            key
+        }
+    };
+}
+
+fn write_config(key: &mut KeyWriter, config: &TranslationConfig) {
+    let TranslationConfig {
+        label,
+        layout,
+        ptp,
+        nf_threshold,
+    } = config;
+    key.text(label);
+    layout.write_key(key);
+    key.flag(*ptp).opt_uint(nf_threshold.map(u64::from));
+}
+
+fn write_scenario(key: &mut KeyWriter, scenario: FragmentationScenario) {
+    let FragmentationScenario {
+        large_page_fraction,
+    } = scenario;
+    key.float(large_page_fraction);
+}
+
+fn write_options(key: &mut KeyWriter, opts: &SimOptions) {
+    let SimOptions {
+        warmup_ops,
+        measure_ops,
+        phys_mem_bytes,
+        hierarchy,
+        tlb,
+        pwc,
+        nested_tlb_entries,
+        footprint_divisor,
+        scenario,
+        host_scenario,
+        ptp_bias,
+        phase_window,
+        phase_threshold,
+        context_switch_interval,
+    } = opts;
+    key.uint(*warmup_ops)
+        .uint(*measure_ops)
+        .uint(*phys_mem_bytes);
+    let HierarchyConfig {
+        l1,
+        l2,
+        l3,
+        dram_latency,
+        numa,
+    } = hierarchy;
+    for cache in [l1, l2, l3] {
+        write_cache(key, cache);
+    }
+    key.uint(*dram_latency);
+    numa.write_key(key);
+    let TlbSystemConfig {
+        l1_4k,
+        l1_2m,
+        l1_1g,
+        l2_entries,
+        l2_ways,
+        l2_latency,
+    } = tlb;
+    for array in [l1_4k, l1_2m, l1_1g] {
+        write_tlb(key, array);
+    }
+    key.uint(*l2_entries as u64)
+        .uint(*l2_ways as u64)
+        .uint(*l2_latency);
+    let PwcConfig {
+        depths,
+        latency,
+        top_bit,
+    } = pwc;
+    key.uint(depths.len() as u64);
+    for &PwcDepthConfig {
+        prefix_bits,
+        entries,
+    } in depths
+    {
+        key.uint(u64::from(prefix_bits)).uint(entries as u64);
+    }
+    key.uint(*latency)
+        .uint(u64::from(*top_bit))
+        .uint(*nested_tlb_entries as u64)
+        .uint(*footprint_divisor);
+    write_scenario(key, *scenario);
+    match host_scenario {
+        None => {
+            key.text("-");
+        }
+        Some(host) => write_scenario(key, *host),
+    }
+    key.float(*ptp_bias)
+        .uint(*phase_window)
+        .float(*phase_threshold)
+        .opt_uint(*context_switch_interval);
+}
+
+fn write_cache(key: &mut KeyWriter, cache: &CacheConfig) {
+    let CacheConfig {
+        name,
+        size_bytes,
+        ways,
+        latency,
+        pt_priority,
+        priority_prob,
+    } = cache;
+    key.text(name)
+        .uint(*size_bytes)
+        .uint(*ways as u64)
+        .uint(*latency)
+        .flag(*pt_priority)
+        .float(*priority_prob);
+}
+
+fn write_tlb(key: &mut KeyWriter, tlb: &TlbConfig) {
+    let TlbConfig {
+        name,
+        entries,
+        ways,
+        latency,
+        page_size,
+    } = tlb;
+    key.text(name)
+        .uint(*entries as u64)
+        .uint(*ways as u64)
+        .uint(*latency)
+        .text(match page_size {
+            PageSize::Size4K => "4k",
+            PageSize::Size2M => "2m",
+            PageSize::Size1G => "1g",
+        });
 }
 
 /// One resident entry: immutable value, atomically refreshed recency.
@@ -298,12 +496,253 @@ mod tests {
         let victima_key = cell_key(&victima, 0, 0, 9);
         let mitosis_key = cell_key(&mitosis, 0, 0, 9);
         assert_ne!(native_key, victima_key);
+        assert_ne!(native_key, mitosis_key);
         assert_ne!(victima_key, mitosis_key);
         assert_ne!(mitosis_key, cell_key(&numa_base, 0, 0, 9));
-        assert!(
-            !native_key.contains("rival"),
-            "native keys stay byte-identical to pre-rival keys"
-        );
+    }
+
+    /// One edit of one input of a cell.
+    type Edit = Box<dyn Fn(&mut Cell)>;
+
+    /// Edits of every field of every keyed type, each paired with its
+    /// name. Each edit leaves the cell a different computation.
+    fn edits() -> Vec<(String, Edit)> {
+        use flatwalk_sim::{Interconnect, NumaTopology};
+
+        fn opts(cell: &mut Cell) -> &mut SimOptions {
+            Arc::make_mut(&mut cell.opts)
+        }
+        fn edit(name: &str, f: impl Fn(&mut Cell) + 'static) -> (String, Edit) {
+            (name.to_string(), Box::new(f))
+        }
+        fn pattern(name: &str, p: Pattern) -> (String, Edit) {
+            edit(&format!("pattern {name}"), move |c| {
+                c.workload.pattern = p.clone()
+            })
+        }
+        let hot = |hot_bytes, hot_prob| Pattern::Hot {
+            hot_bytes,
+            hot_prob,
+        };
+        let chase = |cluster_bytes, switch_prob| Pattern::Chase {
+            cluster_bytes,
+            switch_prob,
+        };
+        let zipf = |regions, exponent| Pattern::Zipf { regions, exponent };
+        let mix = |parts: Vec<(f64, Pattern)>| Pattern::Mix(parts);
+        let inner = |w| mix(vec![(w, Pattern::Uniform), (1.0, zipf(8, 1.0))]);
+        let mut edits = vec![
+            edit("workload name", |c| c.workload.name = "other"),
+            edit("footprint", |c| c.workload.footprint += 4096),
+            pattern("stream", Pattern::Stream { stride: 64 }),
+            pattern("stream stride", Pattern::Stream { stride: 128 }),
+            pattern("hot", hot(1 << 20, 0.9)),
+            pattern("hot bytes", hot(2 << 20, 0.9)),
+            pattern("hot prob", hot(1 << 20, 0.8)),
+            pattern("chase", chase(1 << 16, 0.1)),
+            pattern("chase bytes", chase(1 << 17, 0.1)),
+            pattern("chase prob", chase(1 << 16, 0.2)),
+            pattern("zipf", zipf(64, 0.9)),
+            pattern("zipf regions", zipf(65, 0.9)),
+            pattern("zipf exponent", zipf(64, 1.1)),
+            pattern("mix", mix(vec![(1.0, Pattern::Uniform)])),
+            pattern("mix weight", mix(vec![(2.0, Pattern::Uniform)])),
+            pattern("mix part", mix(vec![(1.0, zipf(64, 0.9))])),
+            pattern(
+                "mix length",
+                mix(vec![(1.0, Pattern::Uniform), (1.0, Pattern::Uniform)]),
+            ),
+            pattern("nested mix", mix(vec![(1.0, inner(1.0))])),
+            pattern("nested mix weight", mix(vec![(1.0, inner(3.0))])),
+            edit("work per access", |c| c.workload.work_per_access += 1),
+            edit("data exposure", |c| c.workload.data_exposure += 0.125),
+            edit("workload seed", |c| c.workload.seed ^= 1),
+            edit("config label", |c| c.config.label = "Other"),
+            edit("layout", |c| {
+                c.config.layout = TranslationConfig::flattened_l3l2().layout
+            }),
+            edit("ptp", |c| c.config.ptp = !c.config.ptp),
+            edit("nf threshold", |c| {
+                c.config.nf_threshold = Some(c.config.nf_threshold.map_or(32, |t| t + 1))
+            }),
+            edit("cell scenario", |c| {
+                c.scenario = FragmentationScenario::HALF;
+            }),
+            edit("options scenario", |c| {
+                opts(c).scenario = FragmentationScenario::HALF;
+            }),
+            edit("host scenario", |c| {
+                opts(c).host_scenario = Some(FragmentationScenario::NONE);
+            }),
+            edit("warmup ops", |c| opts(c).warmup_ops += 1),
+            edit("measure ops", |c| opts(c).measure_ops += 1),
+            edit("phys mem", |c| opts(c).phys_mem_bytes += 4096),
+            edit("dram latency", |c| opts(c).hierarchy.dram_latency += 1),
+            edit("numa nodes", |c| {
+                opts(c).hierarchy.numa = NumaTopology::nodes(2).with_hop_latency(0)
+            }),
+            edit("numa node latency", |c| {
+                let numa = &mut opts(c).hierarchy.numa;
+                *numa = numa.clone().with_node_latency(0, 150);
+            }),
+            edit("numa hop latency", |c| {
+                let numa = &mut opts(c).hierarchy.numa;
+                *numa = numa.clone().with_hop_latency(7);
+            }),
+            edit("numa interleave", |c| {
+                let numa = &mut opts(c).hierarchy.numa;
+                *numa = numa.clone().with_interleave_shift(12);
+            }),
+            edit("numa interconnect", |c| {
+                let numa = &mut opts(c).hierarchy.numa;
+                *numa = numa.clone().with_interconnect(Interconnect::Ring);
+            }),
+            edit("tlb l2 entries", |c| opts(c).tlb.l2_entries += 12),
+            edit("tlb l2 ways", |c| opts(c).tlb.l2_ways += 1),
+            edit("tlb l2 latency", |c| opts(c).tlb.l2_latency += 1),
+            edit("pwc depth added", |c| {
+                opts(c).pwc.depths.push(PwcDepthConfig {
+                    prefix_bits: 36,
+                    entries: 2,
+                })
+            }),
+            edit("pwc depth bits", |c| opts(c).pwc.depths[0].prefix_bits += 9),
+            edit("pwc depth entries", |c| opts(c).pwc.depths[0].entries += 1),
+            edit("pwc latency", |c| opts(c).pwc.latency += 1),
+            edit("pwc top bit", |c| opts(c).pwc.top_bit += 9),
+            edit("nested tlb", |c| opts(c).nested_tlb_entries += 1),
+            edit("footprint divisor", |c| opts(c).footprint_divisor += 1),
+            edit("ptp bias", |c| opts(c).ptp_bias = 0.5),
+            edit("phase window", |c| opts(c).phase_window += 1),
+            edit("phase threshold", |c| opts(c).phase_threshold *= 2.0),
+            edit("context switches", |c| {
+                opts(c).context_switch_interval = Some(1000);
+            }),
+        ];
+        fn level(c: &mut Cell, i: usize) -> &mut CacheConfig {
+            let h = &mut opts(c).hierarchy;
+            [&mut h.l1, &mut h.l2, &mut h.l3]
+                .into_iter()
+                .nth(i)
+                .unwrap()
+        }
+        for i in 0..3 {
+            let name = |field: &str| format!("cache {i} {field}");
+            edits.extend([
+                edit(&name("name"), move |c| level(c, i).name = "LX"),
+                edit(&name("size"), move |c| level(c, i).size_bytes *= 2),
+                edit(&name("ways"), move |c| level(c, i).ways *= 2),
+                edit(&name("latency"), move |c| level(c, i).latency += 1),
+                edit(&name("priority"), move |c| {
+                    level(c, i).pt_priority = !level(c, i).pt_priority
+                }),
+                edit(&name("priority prob"), move |c| {
+                    level(c, i).priority_prob = 0.75
+                }),
+            ]);
+        }
+        fn array(c: &mut Cell, i: usize) -> &mut TlbConfig {
+            let t = &mut opts(c).tlb;
+            [&mut t.l1_4k, &mut t.l1_2m, &mut t.l1_1g]
+                .into_iter()
+                .nth(i)
+                .unwrap()
+        }
+        for i in 0..3 {
+            let name = |field: &str| format!("tlb {i} {field}");
+            edits.extend([
+                edit(&name("name"), move |c| array(c, i).name = "TX"),
+                edit(&name("entries"), move |c| array(c, i).entries *= 2),
+                edit(&name("ways"), move |c| array(c, i).ways *= 2),
+                edit(&name("latency"), move |c| array(c, i).latency += 1),
+                edit(&name("page size"), move |c| {
+                    let size = &mut array(c, i).page_size;
+                    *size = match size {
+                        PageSize::Size4K => PageSize::Size2M,
+                        PageSize::Size2M | PageSize::Size1G => PageSize::Size4K,
+                    };
+                }),
+            ]);
+        }
+        fn dummy(
+            _cell: &Cell,
+            _kind: RivalKind,
+        ) -> Result<flatwalk_sim::SimReport, flatwalk_sim::SimError> {
+            unreachable!("key test never runs the cell")
+        }
+        for kind in [
+            RivalKind::Victima,
+            RivalKind::Mitosis { replicate: true },
+            RivalKind::Mitosis { replicate: false },
+        ] {
+            edits.push(edit(&format!("rival {kind:?}"), move |c| {
+                c.rival = Some((kind, dummy))
+            }));
+        }
+        edits
+    }
+
+    #[test]
+    fn every_input_changes_the_key() {
+        use flatwalk_bench::Mode;
+        let grid = flatwalk_bench::grids::sec71_pwc(Mode::Quick, &Mode::Quick.server_options());
+        let base = &grid.cells[0];
+        let base_key = cell_key(base, 0, 0, 9);
+        assert!(base_key.starts_with("e1;"), "{base_key}");
+        let mut seen = std::collections::HashMap::new();
+        for (name, edit) in edits() {
+            let mut cell = base.clone();
+            edit(&mut cell);
+            let key = cell_key(&cell, 0, 0, 9);
+            assert_ne!(key, base_key, "{name} left the key unchanged");
+            if let Some(other) = seen.insert(key, name.clone()) {
+                panic!("{name} and {other} wrote the same key");
+            }
+        }
+        assert_ne!(cell_key(base, 0xabc, 0, 9), base_key, "plan signature");
+        // The host scenario's `None` and `Some` write different fields.
+        let mut some = base.clone();
+        Arc::make_mut(&mut some.opts).host_scenario = Some(FragmentationScenario::HALF);
+        let mut other = some.clone();
+        Arc::make_mut(&mut other.opts).host_scenario = Some(FragmentationScenario::FULL);
+        assert_ne!(cell_key(&some, 0, 0, 9), cell_key(&other, 0, 0, 9));
+    }
+
+    #[test]
+    fn equal_cells_from_different_grids_key_equal() {
+        use flatwalk_bench::{grids, Mode};
+        let opts = Mode::Quick.server_options();
+        let base = grids::fig09_base(Mode::Quick, &opts);
+        let native = grids::fig09_native(Mode::Quick, &opts);
+        let mut matched = 0;
+        for (label, cell) in base.labels.iter().zip(&base.cells) {
+            let i = native
+                .labels
+                .iter()
+                .position(|l| l == label)
+                .unwrap_or_else(|| panic!("{label} is in fig09_native"));
+            assert_eq!(
+                cell_key(cell, 0, 0, base.cells.len()),
+                cell_key(&native.cells[i], 0, i, native.cells.len()),
+                "{label}"
+            );
+            matched += 1;
+        }
+        assert!(matched > 0);
+    }
+
+    #[test]
+    fn every_registered_grid_keys_compactly() {
+        use flatwalk_bench::{grids, Mode};
+        let opts = Mode::Quick.server_options();
+        for def in grids::GRIDS {
+            let grid = (def.build)(Mode::Quick, &opts);
+            let total = grid.cells.len();
+            for (i, cell) in grid.cells.iter().enumerate() {
+                let key = cell_key(cell, 0, i, total);
+                assert!(key.len() < 512, "{}: {} bytes: {key}", def.name, key.len());
+            }
+        }
     }
 
     /// Stress loop: readers hammer lock-free `get` while inserts churn

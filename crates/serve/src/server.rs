@@ -73,7 +73,7 @@ use flatwalk_types::stats::LatencyHistogram;
 
 use crate::proto::{self, write_line, JobSpec, Request, PROTOCOL};
 use crate::rcache::{cell_key, CachedCell, ResultCache};
-use crate::store::ResultStore;
+use crate::store::{content_hash, ResultStore};
 
 /// Finished jobs kept addressable by `status`, `result` and
 /// `submit_key`; beyond this many, the oldest finished job is evicted
@@ -690,7 +690,7 @@ impl ServerInner {
         let hit = self.cache.get(key)?;
         self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("serve.cache.hits", 1);
-        trace::emit_serve("cache_hit", job_id, &key[..key.len().min(80)]);
+        trace_cell("cache_hit", job_id, key);
         Some(CellData::Done {
             value: hit,
             cached: true,
@@ -735,7 +735,7 @@ impl ServerInner {
                 .cells_coalesced
                 .fetch_add(1, Ordering::Relaxed);
             metrics::add_global("serve.cells.coalesced", 1);
-            trace::emit_serve("coalesced", job_id, &key[..key.len().min(80)]);
+            trace_cell("coalesced", job_id, key);
             let mut done = slot.done.lock().unwrap_or_else(|e| e.into_inner());
             while done.is_none() {
                 done = slot.cv.wait(done).unwrap_or_else(|e| e.into_inner());
@@ -763,7 +763,7 @@ impl ServerInner {
                 .remove(key);
             *slot.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(hit.clone()));
             slot.cv.notify_all();
-            trace::emit_serve("store_hit", job_id, &key[..key.len().min(80)]);
+            trace_cell("store_hit", job_id, key);
             return CellData::Done {
                 value: hit,
                 cached: true,
@@ -1251,6 +1251,15 @@ fn flush_records(job: &Job) {
     while let Some(Some(record)) = records.get(*cursor) {
         job.broadcast(&cell_event_line(job.id, record));
         *cursor += 1;
+    }
+}
+
+/// Emits a serve trace event about one cell, naming it by its key's
+/// content address (the stem of its store entry). The address is only
+/// computed while the serve channel is on.
+fn trace_cell(op: &str, job_id: u64, key: &str) {
+    if trace::serve_enabled() {
+        trace::emit_serve(op, job_id, &content_hash(key));
     }
 }
 
@@ -2287,6 +2296,94 @@ mod tests {
         assert_eq!(inner.cache_hits(), total.div_ceil(2) as u64);
         handle.begin_drain();
         handle.wait();
+    }
+
+    #[test]
+    fn every_line_of_a_warm_reply_reparses_to_itself() {
+        let handle = spawn(test_config()).expect("bind loopback");
+        for grid in ["sec71_pwc", "fig01", "numa_rivals"] {
+            let mut spec = JobSpec::new(grid, flatwalk_bench::Mode::Quick);
+            spec.warmup_ops = Some(100);
+            spec.measure_ops = Some(400);
+            spec.footprint_divisor = Some(4096);
+            let cells = spec.resolve().expect("known grid").len();
+            let submit = spec.to_request_line(true);
+            let mut w = crate::proto::tests::RecordingWriter::default();
+            serve_connection(
+                Arc::clone(handle.inner()),
+                [submit.as_str(), submit.as_str()].join("\n").as_bytes(),
+                &mut w,
+            );
+            // Accepted, the cells and done, cold then warm.
+            assert_eq!(w.writes.len(), 2 * (cells + 2), "{grid}");
+            let warm = &w.writes[cells + 2..];
+            assert!(cell_records(warm)
+                .iter()
+                .all(|r| r.get("cached") == Some(&Json::Bool(true))));
+            for write in warm {
+                let line = std::str::from_utf8(write).expect("UTF-8").trim_end();
+                let parsed = flatwalk_obs::json::parse(line).expect("a served line parses");
+                assert_eq!(parsed.to_string(), line, "{grid}");
+            }
+        }
+        handle.begin_drain();
+        handle.wait();
+    }
+
+    #[test]
+    fn a_store_entry_under_a_debug_form_key_misses_and_its_cell_is_rewritten() {
+        let dir = std::env::temp_dir().join(format!("flatwalk-old-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let grid = tiny_spec().resolve().expect("known grid");
+        let total = grid.cells.len();
+        // The key form of builds that keyed cells by `Debug` text.
+        let cell = &grid.cells[0];
+        let old_key = format!(
+            "{:?}|{:?}|{:?}|{:?}|{:#018x}",
+            cell.workload, cell.config, cell.scenario, cell.opts, 0
+        );
+        let stale = CachedCell {
+            report_json: "{\"stale\":true}".into(),
+            setup_nanos: 0,
+            run_nanos: 0,
+            retries: 0,
+        };
+        ResultStore::open(&dir).expect("open").put(&old_key, &stale);
+        let serve = |expect_cached: bool| {
+            let handle = spawn(ServerConfig {
+                store_dir: Some(dir.clone()),
+                ..test_config()
+            })
+            .expect("bind loopback");
+            let inner = Arc::clone(handle.inner());
+            let mut w = crate::proto::tests::RecordingWriter::default();
+            serve_connection(
+                Arc::clone(&inner),
+                tiny_spec().to_request_line(true).as_bytes(),
+                &mut w,
+            );
+            let records = cell_records(&w.writes);
+            assert_eq!(records.len(), total);
+            for record in &records {
+                assert_eq!(record.get("cached"), Some(&Json::Bool(expect_cached)));
+            }
+            let store = inner.store().expect("store");
+            let counts = (inner.cells_executed(), store.hits(), store.recovered());
+            handle.begin_drain();
+            handle.wait();
+            (records[0].get("report").cloned(), counts)
+        };
+        // The old entry still verifies and is recovered, but no key
+        // reaches it: every cell runs and is written under its new key.
+        let (report, counts) = serve(false);
+        assert_eq!(counts, (total as u64, 0, 1));
+        let report = report.expect("report");
+        assert!(report.get("stale").is_none() && report.get("cycles").is_some());
+        // The next lifetime serves every cell from its new entry.
+        let (again, counts) = serve(true);
+        assert_eq!(counts, (0, total as u64, 1 + total as u64));
+        assert_eq!(again, Some(report));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! quarantine/                                entries that failed verification
 //! ```
 //!
-//! Entries are addressed by a 128-bit hash of their [`cell_key`]
-//! (two independently seeded FNV-1a folds), sharded by the first hash
-//! byte. Every entry embeds the *full* key and is verified against it
-//! on read, so even a hash collision can never alias two computations.
+//! Entries are addressed by a 128-bit hash of their key (two
+//! independently seeded FNV-1a folds), sharded by the first hash byte.
+//! Every entry embeds the *full* key and is verified against it on
+//! read, so even a hash collision can never alias two computations.
+//! Keys are the canonical text of [`crate::rcache::cell_key`], led by
+//! the model epoch (`e1;`). An entry written under any other key form
+//! (the `Debug`-text keys of older builds, or another epoch) still
+//! verifies and is indexed at open, but no lookup reaches its address:
+//! its cell is a miss, runs once more and is stored under its new key.
+//! The old entry stays on disk; nothing collects it yet.
 //!
 //! Durability follows the classic tmp + `fsync` + atomic `rename`
 //! discipline: an entry is written to `tmp/`, synced, renamed into

@@ -49,3 +49,8 @@ pub use native::NativeSimulation;
 pub use report::SimReport;
 pub use runner::{Cell, RivalRunner};
 pub use virt::{VirtConfig, VirtualizedSimulation};
+
+// The config types within `SimOptions`, for callers that name them
+// without depending on each crate (the serve crate's cell keys).
+pub use flatwalk_mem::{CacheConfig, HierarchyConfig, Interconnect, NumaTopology};
+pub use flatwalk_tlb::{PwcConfig, PwcDepthConfig, TlbConfig, TlbSystemConfig};

@@ -84,11 +84,25 @@ impl SimReport {
         )
     }
 
-    /// This run's statistics as named metrics (`walker.*`, `tlb.*`,
-    /// `pwc.p{bits}.*`, `cache.*`, `dram.*`, `pt.*`, `ptp.phase_flips`).
-    /// Counters add when the runner merges cells into the global
-    /// registry; energy is reported as gauges (last merge wins).
+    /// This run's statistics as named counters (`walker.*`, `tlb.*`,
+    /// `pwc.p{bits}.*`, `cache.*`, `dram.*`, `energy.*`, `pt.*`,
+    /// `ptp.phase_flips`), which the runner merges into the global
+    /// registry. Energy is counted in whole picojoules
+    /// (`energy.{l1,l2,l3,dram}_pj`), rounded per cell, so a merge of
+    /// any cells in any order adds up to the same totals.
     pub fn metrics(&self) -> MetricsSnapshot {
+        let mut m = self.shared_metrics();
+        let picojoules = |nj: f64| (nj * 1e3).round() as u64;
+        m.add("energy.l1_pj", picojoules(self.energy.l1_nj))
+            .add("energy.l2_pj", picojoules(self.energy.l2_nj))
+            .add("energy.l3_pj", picojoules(self.energy.l3_nj))
+            .add("energy.dram_pj", picojoules(self.energy.dram_nj));
+        m
+    }
+
+    /// The metrics of [`SimReport::metrics`] and of the report's own
+    /// `metrics` object, which differ only in how energy is written.
+    fn shared_metrics(&self) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::new();
         m.add("walker.walks", self.walk.walks)
             .add("walker.accesses", self.walk.accesses)
@@ -129,10 +143,6 @@ impl SimReport {
         }
         m.add("dram.data", self.hier.dram.data_accesses)
             .add("dram.pt", self.hier.dram.page_table_accesses)
-            .gauge("energy.l1_nj", self.energy.l1_nj)
-            .gauge("energy.l2_nj", self.energy.l2_nj)
-            .gauge("energy.l3_nj", self.energy.l3_nj)
-            .gauge("energy.dram_nj", self.energy.dram_nj)
             .add("energy.dram_accesses", self.energy.dram_accesses);
         self.census.record_metrics(&mut m);
         if self.hier.numa.multi_node() {
@@ -274,6 +284,15 @@ impl SimReport {
             .push("fallback_nodes", self.census.fallback_nodes)
             .push("table_bytes", self.census.table_bytes());
 
+        // The report's own metrics keep energy as the `_nj` gauges of
+        // its schema; merged registries count picojoules instead.
+        let mut metrics = self.shared_metrics();
+        metrics
+            .gauge("energy.l1_nj", self.energy.l1_nj)
+            .gauge("energy.l2_nj", self.energy.l2_nj)
+            .gauge("energy.l3_nj", self.energy.l3_nj)
+            .gauge("energy.dram_nj", self.energy.dram_nj);
+
         let mut faults = Json::obj();
         faults
             .push("shootdowns", self.faults.shootdowns)
@@ -294,7 +313,7 @@ impl SimReport {
             .push("energy", energy)
             .push("census", census)
             .push("faults", faults)
-            .push("metrics", self.metrics().to_json());
+            .push("metrics", metrics.to_json());
         o
     }
 }
@@ -349,6 +368,34 @@ mod tests {
         assert_eq!(m.counter_value("walker.steps.l1"), 5);
         assert_eq!(m.counter_value("pwc.p27.hit"), 3);
         assert_eq!(m.counter_value("pwc.p27.miss"), 1);
+    }
+
+    #[test]
+    fn energy_merges_as_picojoule_counters_in_any_order() {
+        let cell = |l1_nj, dram_nj| {
+            let mut r = report(10, 20);
+            r.energy.l1_nj = l1_nj;
+            r.energy.dram_nj = dram_nj;
+            r
+        };
+        let cells = [cell(1.0004, 3_472_020.0), cell(0.0006, 2_197_920.25)];
+        let merged = |order: [usize; 2]| {
+            let mut m = MetricsSnapshot::new();
+            for i in order {
+                m.merge(&cells[i].metrics());
+            }
+            m
+        };
+        assert_eq!(merged([0, 1]), merged([1, 0]));
+        let m = merged([0, 1]);
+        assert_eq!(m.counter_value("energy.l1_pj"), 1_000 + 1);
+        assert_eq!(m.counter_value("energy.dram_pj"), 5_669_940_250);
+        assert!(m.iter().all(|(name, _)| !name.ends_with("_nj")));
+        // Each report's own metrics keep the `_nj` gauges.
+        let json = cells[0].to_json();
+        let own = json.get("metrics").unwrap();
+        assert_eq!(own.get("energy.dram_nj"), Some(&Json::Float(3_472_020.0)));
+        assert!(own.get("energy.dram_pj").is_none());
     }
 
     #[test]

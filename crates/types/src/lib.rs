@@ -12,6 +12,8 @@
 //! * [`AccessKind`] and [`OwnerId`] — classification of memory-system
 //!   accesses (data vs. page-table; which core/process) used by the cache
 //!   replacement policies of paper §5/§6.1.
+//! * [`key`] — the canonical text encoding of content keys, which
+//!   result caches key finished computations by.
 //! * [`rng`] — small deterministic random-number generators so every
 //!   experiment is exactly reproducible.
 //! * [`stats`] — numeric summaries (geometric mean, weighted speedup)
@@ -38,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+pub mod key;
 mod level;
 mod page_size;
 pub mod rng;
