@@ -32,6 +32,8 @@
 //! the setup-cache keys so faulted and fault-free snapshots never
 //! alias.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, RwLock};

@@ -21,6 +21,8 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
+use flatwalk_types::rng::SplitMix64;
+
 use crate::proto::write_line;
 
 /// Jittered exponential backoff schedule.
@@ -34,7 +36,7 @@ pub struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl Backoff {
@@ -45,7 +47,7 @@ impl Backoff {
             base,
             cap,
             attempt: 0,
-            rng: seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15),
         }
     }
 
@@ -66,12 +68,7 @@ impl Backoff {
 
     /// The next delay in the schedule (advances the attempt counter).
     pub fn next_delay(&mut self) -> Duration {
-        // SplitMix64 step for the jitter stream.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = self.rng.next_u64();
         let exp = self.attempt.min(20);
         self.attempt = self.attempt.saturating_add(1);
         let full = self
@@ -263,6 +260,25 @@ mod tests {
         };
         assert_eq!(seq(7), seq(7));
         assert_ne!(seq(7), seq(8));
+    }
+
+    #[test]
+    fn backoff_schedule_is_pinned() {
+        let mut b = Backoff::new(Duration::from_millis(50), Duration::from_secs(2), 7);
+        let nanos: Vec<u128> = (0..8).map(|_| b.next_delay().as_nanos()).collect();
+        assert_eq!(
+            nanos,
+            [
+                33_914_056,
+                85_463_557,
+                196_485_841,
+                209_911_119,
+                402_595_987,
+                1_040_030_617,
+                1_171_899_160,
+                1_345_391_180,
+            ]
+        );
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!
 //! - [`proto`] — wire protocol: request parsing, [`proto::JobSpec`],
 //!   error replies, and the one-write line framing both ends use.
-//! - [`rcache`] — content-keyed LRU result cache above the setup
-//!   cache.
+//! - [`rcache`] — content-keyed, exact LRU result cache above the
+//!   setup cache, behind one `Mutex` locked once per served cell.
 //! - [`store`] — disk-backed content-addressed result store beneath
 //!   the memory cache (tmp + fsync + rename writes, recovery scan,
-//!   checksum verification with quarantine).
+//!   checksum verification with quarantine), with a `Mutex`-guarded
+//!   address index.
 //! - [`server`] — listeners, bounded job queue with backpressure,
 //!   workers, worker supervision, in-flight coalescing, admission
 //!   control, bounded retention of finished jobs, drain/shutdown.
@@ -44,6 +45,12 @@
 //! off), `FLATWALK_CHAOS` (enable chaos test hooks), plus the
 //! simulator-wide `FLATWALK_THREADS`, `FLATWALK_CELL_DEADLINE_SECS`,
 //! `FLATWALK_TRACE`, and `FLATWALK_FAULTS`.
+//!
+//! The library holds no `unsafe` code: its shared maps and queues are
+//! `std::sync::Mutex`es, each taken a bounded number of times per
+//! request, served cell or job, never per simulated operation.
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod proto;

@@ -19,26 +19,22 @@
 //! any key formed under an active fault plan also carries the cell's
 //! grid position.
 //!
-//! The **read path is lock-free**: the key→entry index is a
-//! [`flatwalk_sync::SwapMap`] (epoch-style snapshot swaps), and a hit
-//! refreshes its LRU recency with one relaxed atomic store — no
-//! `Mutex` anywhere between a request and its cached bytes. Writers
-//! (insert + eviction) serialize on one mutex. Keys are shared
-//! `Arc<str>`s, taken from the caller by lookups and inserts alike: a
-//! lookup copies no key, and the snapshot copy each insert makes costs
-//! a reference count per entry rather than a copy of every key, so an
-//! insert stays cheap next to the simulation it follows however full
-//! the cache is.
+//! Concurrency: the whole cache sits behind one `Mutex`, held for one
+//! hash probe per served cell (a lookup, or an insert after an
+//! execution or a store hit), so a busy server takes it a few
+//! thousand times a second, for under a microsecond each. Keys
+//! are shared `Arc<str>`s, taken from the caller by lookups and
+//! inserts alike, so neither copies a key.
 //!
 //! The cache is bounded by an approximate byte budget
-//! (`FLATWALK_RESULT_CACHE_MB`, default 64 MB) with LRU eviction
-//! (approximate under concurrency: a hit that races the eviction scan
-//! may refresh a victim too late — it then simply re-enters on the
-//! next miss). Failed cells are never cached: a cell can fail to a
-//! cancel or a wall-clock deadline, and neither is part of its key.
+//! (`FLATWALK_RESULT_CACHE_MB`, default 64 MB) with exact LRU
+//! eviction: a `BTreeMap` from use tick to key orders the entries, so
+//! an insert or an eviction costs O(log n) however full the cache is.
+//! Failed cells are never cached: a cell can fail to a cancel or a
+//! wall-clock deadline, and neither is part of its key.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use flatwalk_os::FragmentationScenario;
 use flatwalk_sim::runner::Cell;
@@ -46,10 +42,9 @@ use flatwalk_sim::{
     CacheConfig, HierarchyConfig, PwcConfig, PwcDepthConfig, RivalKind, SimOptions, TlbConfig,
     TlbSystemConfig, TranslationConfig,
 };
-use flatwalk_sync::SwapMap;
 use flatwalk_types::key::KeyWriter;
 use flatwalk_types::PageSize;
-use flatwalk_workloads::{Pattern, WorkloadSpec};
+use flatwalk_workloads::WorkloadSpec;
 
 /// A finished, cacheable cell execution.
 #[derive(Debug, Clone)]
@@ -123,34 +118,8 @@ fn write_workload(key: &mut KeyWriter, workload: &WorkloadSpec) {
         seed,
     } = workload;
     key.text(name).uint(*footprint);
-    write_pattern(key, pattern);
+    pattern.write_key(key);
     key.uint(*work_per_access).float(*data_exposure).uint(*seed);
-}
-
-fn write_pattern(key: &mut KeyWriter, pattern: &Pattern) {
-    match pattern {
-        Pattern::Uniform => key.text("uniform"),
-        Pattern::Stream { stride } => key.text("stream").uint(*stride),
-        Pattern::Hot {
-            hot_bytes,
-            hot_prob,
-        } => key.text("hot").uint(*hot_bytes).float(*hot_prob),
-        Pattern::Chase {
-            cluster_bytes,
-            switch_prob,
-        } => key.text("chase").uint(*cluster_bytes).float(*switch_prob),
-        Pattern::Zipf { regions, exponent } => {
-            key.text("zipf").uint(*regions as u64).float(*exponent)
-        }
-        Pattern::Mix(parts) => {
-            key.text("mix").uint(parts.len() as u64);
-            for (weight, part) in parts {
-                key.float(*weight);
-                write_pattern(key, part);
-            }
-            key
-        }
-    };
 }
 
 fn write_config(key: &mut KeyWriter, config: &TranslationConfig) {
@@ -284,27 +253,30 @@ fn write_tlb(key: &mut KeyWriter, tlb: &TlbConfig) {
         });
 }
 
-/// One resident entry: immutable value, atomically refreshed recency.
+/// One resident entry.
 #[derive(Debug)]
 struct Entry {
     value: CachedCell,
     cost: u64,
-    /// Monotone use tick for LRU ordering; a hit stores the current
-    /// tick with a relaxed atomic — no lock on the read path.
-    last_used: AtomicU64,
+    /// The entry's last use, its key in [`Lru::order`].
+    tick: u64,
 }
 
-/// An LRU-by-bytes map from [`cell_key`] to [`CachedCell`] with
-/// lock-free lookups.
+/// The cache's state, all behind one lock.
+#[derive(Debug, Default)]
+struct Lru {
+    entries: HashMap<Arc<str>, Entry>,
+    /// Keys by last use, oldest first.
+    order: BTreeMap<u64, Arc<str>>,
+    tick: u64,
+    bytes: u64,
+    evicted: u64,
+}
+
+/// An exact LRU-by-bytes map from [`cell_key`] to [`CachedCell`].
 #[derive(Debug)]
 pub struct ResultCache {
-    map: SwapMap<Arc<str>, Arc<Entry>>,
-    tick: AtomicU64,
-    bytes: AtomicU64,
-    evicted: AtomicU64,
-    /// Serializes insert + eviction (byte accounting); never taken by
-    /// [`ResultCache::get`].
-    write: Mutex<()>,
+    lru: Mutex<Lru>,
     budget_bytes: u64,
 }
 
@@ -312,27 +284,30 @@ impl ResultCache {
     /// A cache bounded to roughly `budget_bytes` of key + report text.
     pub fn new(budget_bytes: u64) -> ResultCache {
         ResultCache {
-            map: SwapMap::new(),
-            tick: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            write: Mutex::new(()),
+            lru: Mutex::new(Lru::default()),
             budget_bytes,
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit. Lock-free: a
-    /// snapshot probe plus one relaxed store.
+    fn lru(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|e| e.into_inner()) // lock-ok: one probe per served cell
+    }
+
+    /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &Arc<str>) -> Option<CachedCell> {
-        let entry = self.map.get(key)?;
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.last_used.store(tick, Ordering::Relaxed);
+        let mut guard = self.lru();
+        let lru = &mut *guard;
+        let entry = lru.entries.get_mut(key)?;
+        let key = lru.order.remove(&entry.tick).expect("entries are ordered");
+        lru.tick += 1;
+        entry.tick = lru.tick;
+        lru.order.insert(lru.tick, key);
         Some(entry.value.clone())
     }
 
     /// Whether `key` is resident; leaves its recency as it is.
     pub fn contains(&self, key: &Arc<str>) -> bool {
-        self.map.get(key).is_some()
+        self.lru().entries.contains_key(key)
     }
 
     /// Inserts (or replaces) `key`, then evicts least-recently-used
@@ -341,65 +316,57 @@ impl ResultCache {
     /// from cache still beats re-simulating it. The cache keeps the
     /// caller's key allocation.
     pub fn insert(&self, key: Arc<str>, value: CachedCell) {
-        let _write = self.write.lock().unwrap_or_else(|e| e.into_inner()); // lock-ok: write path
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let cost = value.cost_bytes(key.len());
-        let entry = Arc::new(Entry {
+        let mut guard = self.lru();
+        let lru = &mut *guard;
+        lru.tick += 1;
+        lru.order.insert(lru.tick, Arc::clone(&key));
+        lru.bytes += cost;
+        let entry = Entry {
             value,
             cost,
-            last_used: AtomicU64::new(tick),
-        });
-        if let Some(old) = self.map.get(&key) {
-            self.bytes.fetch_sub(old.cost, Ordering::Relaxed);
+            tick: lru.tick,
+        };
+        if let Some(old) = lru.entries.insert(key, entry) {
+            lru.order.remove(&old.tick);
+            lru.bytes -= old.cost;
         }
-        self.map.insert(key, entry);
-        self.bytes.fetch_add(cost, Ordering::Relaxed);
-        while self.bytes.load(Ordering::Relaxed) > self.budget_bytes && self.map.len() > 1 {
-            // Coldest entry across the current snapshots (exact while
-            // the write lock serializes mutation; concurrent hits can
-            // only make a victim look *colder* than it just became).
-            let victim = self.map.fold(None::<(Arc<str>, u64)>, |acc, snap| {
-                snap.iter().fold(acc, |acc, (k, e)| {
-                    let used = e.last_used.load(Ordering::Relaxed);
-                    match &acc {
-                        Some((_, best)) if *best <= used => acc,
-                        _ => Some((Arc::clone(k), used)),
-                    }
-                })
-            });
-            let Some((victim, _)) = victim else { break };
-            if let Some(old) = self.map.get(&victim) {
-                self.map.remove(&victim);
-                self.bytes.fetch_sub(old.cost, Ordering::Relaxed);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
+        while lru.bytes > self.budget_bytes && lru.entries.len() > 1 {
+            let (_, victim) = lru.order.pop_first().expect("entries are ordered");
+            let old = lru
+                .entries
+                .remove(&victim)
+                .expect("ordered keys are resident");
+            lru.bytes -= old.cost;
+            lru.evicted += 1;
         }
     }
 
     /// Entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru().entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru().entries.is_empty()
     }
 
     /// Approximate resident bytes.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.lru().bytes
     }
 
     /// Entries evicted so far.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.lru().evicted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatwalk_workloads::Pattern;
 
     fn cell(report: &str) -> CachedCell {
         CachedCell {
@@ -457,6 +424,73 @@ mod tests {
         cache.insert("k".into(), cell(&"z".repeat(10)));
         assert!(cache.bytes() < before, "smaller replacement shrinks usage");
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The cache's behaviour spelled out as plainly as possible: keys
+    /// in a `Vec` from least to most recently used, each with its
+    /// payload and cost.
+    #[derive(Default)]
+    struct ReferenceLru {
+        order: Vec<(String, String, u64)>,
+        evicted: u64,
+    }
+
+    impl ReferenceLru {
+        fn get(&mut self, key: &str) -> Option<String> {
+            let i = self.order.iter().position(|(k, _, _)| k == key)?;
+            let entry = self.order.remove(i);
+            let payload = entry.1.clone();
+            self.order.push(entry);
+            Some(payload)
+        }
+
+        fn insert(&mut self, key: &str, payload: &str, budget: u64) {
+            self.order.retain(|(k, _, _)| k != key);
+            let cost = (key.len() + payload.len() + 64) as u64;
+            self.order.push((key.into(), payload.into(), cost));
+            while self.bytes() > budget && self.order.len() > 1 {
+                self.order.remove(0);
+                self.evicted += 1;
+            }
+        }
+
+        fn bytes(&self) -> u64 {
+            self.order.iter().map(|(_, _, cost)| cost).sum()
+        }
+    }
+
+    #[test]
+    fn matches_a_plain_lru_by_bytes() {
+        use flatwalk_types::rng::SplitMix64;
+        const KEYS: u64 = 12;
+        // Keys of 2 or 3 bytes; payloads of a 3-digit step number and
+        // 0..200 more bytes.
+        const MAX_COST: u64 = 3 + 3 + 199 + 64;
+        for seed in 0..4 {
+            // From one entry at a time to all of them.
+            for budget in (0..=KEYS).map(|n| n * MAX_COST) {
+                let mut rng = SplitMix64::new(seed);
+                let cache = ResultCache::new(budget);
+                let mut reference = ReferenceLru::default();
+                for step in 0..400 {
+                    let key = format!("k{}", rng.next_range(KEYS));
+                    let at = format!("seed {seed}, budget {budget}, step {step}, {key}");
+                    if rng.chance(0.5) {
+                        let got = cache.get(&key.as_str().into());
+                        let got = got.map(|c| c.report_json.to_string());
+                        assert_eq!(got, reference.get(&key), "get at {at}");
+                    } else {
+                        let pad = "v".repeat(rng.next_range(200) as usize);
+                        let payload = format!("{step:03}{pad}");
+                        cache.insert(key.as_str().into(), cell(&payload));
+                        reference.insert(&key, &payload, budget);
+                    }
+                    assert_eq!(cache.len(), reference.order.len(), "len at {at}");
+                    assert_eq!(cache.bytes(), reference.bytes(), "bytes at {at}");
+                    assert_eq!(cache.evicted(), reference.evicted, "evicted at {at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -745,7 +779,7 @@ mod tests {
         }
     }
 
-    /// Stress loop: readers hammer lock-free `get` while inserts churn
+    /// Stress loop: readers hammer `get` while inserts churn
     /// generations and evictions; every hit must return an intact
     /// payload for its key.
     #[test]
@@ -759,7 +793,7 @@ mod tests {
                 let cache = std::sync::Arc::clone(&cache);
                 let stop = std::sync::Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         for k in 0..16u64 {
                             if let Some(hit) = cache.get(&format!("k{k}").into()) {
                                 assert!(hit.report_json.starts_with(&format!("{k}:")));
@@ -773,7 +807,7 @@ mod tests {
             let k = round % 16;
             cache.insert(format!("k{k}").into(), cell(&format!("{k}:{payload}")));
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
         }

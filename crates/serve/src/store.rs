@@ -36,11 +36,10 @@
 //! mismatches, checksum failures — into `quarantine/` for post-mortem
 //! inspection instead of deleting or serving it.
 //!
-//! Concurrency: the index is a lock-free [`flatwalk_sync::SwapMap`]
-//! over 128-bit content addresses (16 bytes an entry, so neither its
-//! memory nor the snapshot copy each write makes grows with key
-//! length), and all counters are atomics — no lock anywhere in this
-//! module (`scripts/lint_lockfree.sh` enforces this).
+//! Concurrency: the index is a `Mutex` over the set of 128-bit content
+//! addresses (16 bytes an entry, however long the key), locked for one
+//! hash probe per served cell that reaches the store and once per
+//! write, never across file I/O; all counters are atomics.
 //! Concurrent writers of the same key are idempotent by content
 //! addressing: both render identical bytes, and the second rename
 //! simply replaces the first atomically.
@@ -49,13 +48,14 @@
 //! counters `store.recovered`, `store.quarantined`, `store.hits`,
 //! `store.misses`, `store.writes`, `store.write_errors`.
 
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use flatwalk_obs::{metrics, span, Json};
-use flatwalk_sync::SwapMap;
 
 use crate::rcache::CachedCell;
 
@@ -186,15 +186,14 @@ fn sync_dir(dir: &Path) {
 /// The persistent content-addressed result store.
 ///
 /// See the module docs for layout and durability guarantees. All
-/// methods are callable from any thread; nothing in here blocks on a
-/// lock.
+/// methods are callable from any thread.
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
     /// Content addresses of the durable entries, repopulated by the
     /// recovery scan. The entry path follows from the address, and the
     /// full key is checked against the entry on every read.
-    index: SwapMap<u128, ()>,
+    index: Mutex<HashSet<u128>>,
     tmp_seq: AtomicU64,
     quarantine_seq: AtomicU64,
     recovered: AtomicU64,
@@ -222,7 +221,7 @@ impl ResultStore {
         fs::create_dir_all(root.join("quarantine"))?;
         let store = ResultStore {
             root: root.to_path_buf(),
-            index: SwapMap::new(),
+            index: Mutex::new(HashSet::new()),
             tmp_seq: AtomicU64::new(0),
             quarantine_seq: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -257,7 +256,7 @@ impl ResultStore {
                         Ok(address)
                     }) {
                     Ok(address) => {
-                        store.index.insert(address, ());
+                        store.index().insert(address);
                         store.recovered.fetch_add(1, Ordering::Relaxed);
                         metrics::add_global("store.recovered", 1);
                     }
@@ -266,6 +265,10 @@ impl ResultStore {
             }
         }
         Ok(store)
+    }
+
+    fn index(&self) -> MutexGuard<'_, HashSet<u128>> {
+        self.index.lock().unwrap_or_else(|e| e.into_inner()) // lock-ok: one probe per served cell
     }
 
     /// The store's root directory.
@@ -314,7 +317,7 @@ impl ResultStore {
     pub fn get(&self, key: &str) -> Option<CachedCell> {
         let _span = span::enter("store.read");
         let address = content_address(key);
-        if self.index.get(&address).is_none() {
+        if !self.index().contains(&address) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             metrics::add_global("store.misses", 1);
             return None;
@@ -337,7 +340,7 @@ impl ResultStore {
                 Some(value)
             }
             Err(why) => {
-                self.index.remove(&address);
+                self.index().remove(&address);
                 if path.exists() {
                     self.quarantine(&path, &why);
                 }
@@ -384,7 +387,7 @@ impl ResultStore {
             return Err(e);
         }
         sync_dir(shard);
-        self.index.insert(address, ());
+        self.index().insert(address);
         self.writes.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("store.writes", 1);
         Ok(())
@@ -392,12 +395,12 @@ impl ResultStore {
 
     /// Indexed entries (verified at recovery or written this lifetime).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index().len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index().is_empty()
     }
 
     /// Entries re-indexed by this process's recovery scan.

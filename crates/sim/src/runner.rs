@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use flatwalk_os::FragmentationScenario;
-use flatwalk_sync::{OnceSlot, StealQueues, TakeSlot};
+use flatwalk_sync::StealQueues;
 use flatwalk_workloads::WorkloadSpec;
 
 use crate::setup::{self, setup_stats, SetupStats};
@@ -563,11 +563,11 @@ where
 /// serial visit order) and, once drained, steals from the *back* of
 /// the other workers' ranges — so a skewed grid (one 10x-cost cell)
 /// no longer strands the remaining workers behind a static partition.
-/// Jobs hand off through take-once slots and results land in
-/// write-once slots ([`TakeSlot`]/[`OnceSlot`] — one atomic
-/// transition each, no per-slot `Mutex`), then are spliced back **in
-/// job-index order**, making the output byte-identical to the serial
-/// run at any thread count.
+/// Each job and each result passes through its own `Mutex<Option<_>>`
+/// slot, locked once when a worker takes the job and once when it
+/// stores the result (never contended: one worker claims each index).
+/// Results are spliced back **in job-index order**, making the output
+/// byte-identical to the serial run at any thread count.
 ///
 /// # Panics
 ///
@@ -625,8 +625,14 @@ where
         return results;
     }
 
-    let job_slots: Vec<TakeSlot<J>> = jobs.into_iter().map(TakeSlot::new).collect();
-    let result_slots: Vec<OnceSlot<R>> = (0..total).map(|_| OnceSlot::new()).collect();
+    /// Puts `value` into an empty slot, or takes it out (`None`).
+    fn swap_slot<T>(slot: &Mutex<Option<T>>, value: Option<T>) -> Option<T> {
+        let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner()); // lock-ok: once per job
+        std::mem::replace(&mut *slot, value)
+    }
+
+    let job_slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let result_slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let queues = StealQueues::new(total, workers.min(total));
 
     std::thread::scope(|scope| {
@@ -639,14 +645,13 @@ where
             let f = &f;
             scope.spawn(move || {
                 while let Some(index) = queues.next(w) {
-                    let job = job_slots[index]
-                        .take()
+                    let job = swap_slot(&job_slots[index], None)
                         .expect("a claimed index is claimed exactly once");
                     let ops = weight(&job);
                     match std::panic::catch_unwind(AssertUnwindSafe(|| f(job))) {
                         Ok(result) => {
                             assert!(
-                                result_slots[index].set(result).is_ok(),
+                                swap_slot(&result_slots[index], Some(result)).is_none(),
                                 "a result slot is written exactly once"
                             );
                         }
@@ -663,7 +668,10 @@ where
     }
     result_slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot filled by the pool"))
+        .map(|slot| {
+            let result = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+            result.expect("every slot filled by the pool")
+        })
         .collect()
 }
 

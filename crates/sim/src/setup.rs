@@ -19,13 +19,12 @@
 //! result, so output stays byte-identical to a cache-off run at any
 //! thread count.
 //!
-//! The cache's read path is **lock-free**: the four key→slot maps are
-//! [`flatwalk_sync::SwapMap`]s (sharded, epoch-style snapshot swaps),
-//! so a hit — every cell of a sweep after the first — is a hash probe
-//! of an immutable snapshot with no `Mutex` acquisition. Misses take a
-//! per-shard writer lock only to publish a fresh once-cell (a single
-//! entry-API probe), then build *outside* that lock, preserving the
-//! build-coalescing semantics above.
+//! Each of the four key→slot maps sits behind one `Mutex`, held only
+//! to probe for a key and, on a miss, to publish a fresh once-cell. A
+//! cell locks the maps it needs once each (its space, its stream).
+//! The build runs outside the lock, so cells with different keys build
+//! in parallel while cells sharing a key block inside the once-cell
+//! until its one build completes.
 //!
 //! Disable with `FLATWALK_NO_SETUP_CACHE=1` (every cell then builds
 //! privately, as before this cache existed); tests can force either
@@ -34,12 +33,11 @@
 //! through [`setup_stats`] (and the `setup.cache.*` counters of the
 //! obs registry) and shown on the runner's stderr progress line.
 
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
-
-use flatwalk_sync::SwapMap;
 
 use flatwalk_faults::FaultyAllocator;
 use flatwalk_os::{
@@ -47,6 +45,7 @@ use flatwalk_os::{
     FrozenVirtSpace, VirtSpec, VirtualizedSpace,
 };
 use flatwalk_pt::{Layout, PhysAllocator};
+use flatwalk_types::key::KeyWriter;
 use flatwalk_types::rng::{splitmix_mix, SplitMix64};
 use flatwalk_workloads::{AccessStream, WorkloadSpec};
 
@@ -112,8 +111,9 @@ struct MulticoreKey {
 
 /// Cache key for a generated access-stream prefix. Offsets are
 /// base-VA-relative (the base is added at replay), so the key carries
-/// only the generator inputs; the pattern's `Debug` form round-trips
-/// every float and so identifies the pattern content exactly.
+/// only the generator inputs. The pattern is keyed by its canonical
+/// text ([`flatwalk_workloads::Pattern::write_key`]), which writes
+/// every float by its bits and so identifies the pattern exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct StreamKey {
     name: &'static str,
@@ -127,21 +127,31 @@ struct StreamKey {
 /// first builds while the rest block, then everyone clones the `Arc`.
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
+/// One key→slot map.
+type Map<K, T> = Mutex<HashMap<K, Slot<T>>>;
+
+#[derive(Default)]
 struct Caches {
-    native: SwapMap<NativeKey, Slot<FrozenSpace>>,
-    virt: SwapMap<VirtKey, Slot<FrozenVirtSpace>>,
-    multicore: SwapMap<MulticoreKey, Slot<Vec<Arc<FrozenSpace>>>>,
-    streams: SwapMap<StreamKey, Slot<Vec<u64>>>,
+    native: Map<NativeKey, FrozenSpace>,
+    virt: Map<VirtKey, FrozenVirtSpace>,
+    multicore: Map<MulticoreKey, Vec<Arc<FrozenSpace>>>,
+    streams: Map<StreamKey, Vec<u64>>,
 }
 
 fn caches() -> &'static Caches {
     static CACHES: OnceLock<Caches> = OnceLock::new();
-    CACHES.get_or_init(|| Caches {
-        native: SwapMap::new(),
-        virt: SwapMap::new(),
-        multicore: SwapMap::new(),
-        streams: SwapMap::new(),
-    })
+    CACHES.get_or_init(Caches::default)
+}
+
+fn lock<K, T>(map: &Map<K, T>) -> MutexGuard<'_, HashMap<K, Slot<T>>> {
+    map.lock().unwrap_or_else(|e| e.into_inner()) // lock-ok: one probe per cell, never a build
+}
+
+/// Empties `map`, returning how many entries it held. The entries
+/// drop after the lock is released.
+fn drain<K, T>(map: &Map<K, T>) -> u64 {
+    let dropped = std::mem::take(&mut *lock(map));
+    dropped.len() as u64
 }
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -202,11 +212,7 @@ pub fn setup_stats() -> SetupStats {
 /// snapshot memory; the next request for any key simply rebuilds.
 pub fn clear_setup_cache() -> u64 {
     let c = caches();
-    let evicted = (c.native.len() + c.virt.len() + c.multicore.len() + c.streams.len()) as u64;
-    c.native.clear();
-    c.virt.clear();
-    c.multicore.clear();
-    c.streams.clear();
+    let evicted = drain(&c.native) + drain(&c.virt) + drain(&c.multicore) + drain(&c.streams);
     count_evictions(evicted);
     evicted
 }
@@ -221,19 +227,12 @@ pub fn clear_setup_cache() -> u64 {
 /// block each. A dropped stream requested again is regenerated,
 /// identical to the first.
 pub fn evict_streams(ops: u64) -> u64 {
-    let mut evicted = 0;
-    caches().streams.retain_rebuild(|snap| {
-        if !snap.keys().any(|key| key.ops == ops) {
-            return None;
-        }
-        let kept: std::collections::HashMap<_, _> = snap
-            .iter()
-            .filter(|(key, _)| key.ops != ops)
-            .map(|(key, slot)| (key.clone(), Arc::clone(slot)))
-            .collect();
-        evicted += (snap.len() - kept.len()) as u64;
-        Some(kept)
-    });
+    let evicted = {
+        let mut streams = lock(&caches().streams);
+        let before = streams.len();
+        streams.retain(|key, _| key.ops != ops);
+        (before - streams.len()) as u64
+    };
     count_evictions(evicted);
     evicted
 }
@@ -309,14 +308,13 @@ pub fn cache_enabled() -> bool {
     }
 }
 
-fn get_or_build<K, T, F>(map: &SwapMap<K, Slot<T>>, key: K, build: F) -> Arc<T>
+fn get_or_build<K, T, F>(map: &Map<K, T>, key: K, build: F) -> Arc<T>
 where
-    K: Eq + Hash + Clone,
+    K: Eq + Hash,
     F: FnOnce() -> Arc<T>,
 {
-    // Hot path: a known key is a lock-free snapshot probe — no Mutex.
-    // A miss publishes a fresh once-cell with a single entry-API probe
-    // under the shard's writer lock; the lock is released before
+    // The map's lock covers only the probe and, on a miss, the
+    // publication of a fresh once-cell; it is released before
     // building, so concurrent cells with *different* keys build in
     // parallel while cells sharing this key block inside `get_or_init`
     // until the one build completes.
@@ -325,10 +323,7 @@ where
     // sibling's in-flight build; the build itself opens its own
     // `setup.build` / `setup.freeze` spans, nested under this one.
     let _probe = flatwalk_obs::span::enter("setup.probe");
-    let slot = match map.get(&key) {
-        Some(slot) => slot,
-        None => map.get_or_insert_with(key, || Arc::new(OnceLock::new())).0,
-    };
+    let slot = Arc::clone(lock(map).entry(key).or_default());
     let mut built = false;
     let value = slot.get_or_init(|| {
         built = true;
@@ -581,11 +576,13 @@ pub fn stream_offsets(spec: &WorkloadSpec, ops: u64) -> Arc<Vec<u64>> {
     if !cache_enabled() {
         return generate_offsets(spec, ops);
     }
+    let mut pattern = KeyWriter::default();
+    spec.pattern.write_key(&mut pattern);
     let key = StreamKey {
         name: spec.name,
         footprint: spec.footprint,
         seed: spec.seed,
-        pattern: format!("{:?}", spec.pattern),
+        pattern: pattern.finish(),
         ops,
     };
     get_or_build(&caches().streams, key, || generate_offsets(spec, ops))
@@ -616,6 +613,30 @@ mod tests {
         let a = frozen_native_space(&spec, 1 << 30, 0);
         let b = frozen_native_space(&spec, 1 << 30, 0);
         assert!(Arc::ptr_eq(&a, &b), "identical keys must share the Arc");
+        set_cache_override(None);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_fresh_key_build_once() {
+        let _guard = override_lock();
+        set_cache_override(Some(true));
+        let spec = test_spec(0x7900_0000_0000);
+        let start = std::sync::Barrier::new(8);
+        let spaces: Vec<_> = std::thread::scope(|scope| {
+            let requests: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        frozen_native_space(&spec, 1 << 30, 0)
+                    })
+                })
+                .collect();
+            requests.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(
+            spaces.iter().all(|space| Arc::ptr_eq(space, &spaces[0])),
+            "every requester shares the one build"
+        );
         set_cache_override(None);
     }
 
@@ -721,6 +742,26 @@ mod tests {
         for _ in 0..4_000 {
             assert_eq!(replayed.next_va(), synthetic.next_va());
         }
+        set_cache_override(None);
+    }
+
+    #[test]
+    fn patterns_one_float_bit_apart_key_apart() {
+        let _guard = override_lock();
+        set_cache_override(Some(true));
+        let hot = |hot_prob| WorkloadSpec {
+            pattern: flatwalk_workloads::Pattern::Hot {
+                hot_bytes: 1 << 20,
+                hot_prob,
+            },
+            ..WorkloadSpec::gups().scaled_mib(16)
+        };
+        let prob = 0.9f64;
+        let next = f64::from_bits(prob.to_bits() + 1);
+        let a = stream_offsets(&hot(prob), 2_719);
+        let b = stream_offsets(&hot(next), 2_719);
+        assert!(!Arc::ptr_eq(&a, &b), "each pattern gets its own block");
+        assert!(Arc::ptr_eq(&a, &stream_offsets(&hot(prob), 2_719)));
         set_cache_override(None);
     }
 

@@ -1,34 +1,22 @@
-//! Hand-rolled lock-free concurrency primitives for the flatwalk runtime.
-//!
-//! The experiment harness spends its wall-clock in three concurrent
-//! structures: the cell scheduler that fans a grid out over worker
-//! threads, the setup cache consulted on every cell, and the serve-side
-//! result cache consulted on every request. This crate provides the
-//! primitives that make all three hot paths lock-free:
+//! Low-level concurrency and memory hints for the flatwalk runtime.
 //!
 //! * [`StealQueues`] — per-worker index queues with a steal path, so a
 //!   skewed grid (one 10x-cost cell) no longer strands the other
-//!   workers behind a static partition.
-//! * [`OnceSlot`] / [`TakeSlot`] — write-once result storage and
-//!   take-once job storage, replacing per-slot `Mutex<Option<T>>` with
-//!   a single atomic flag transition.
-//! * [`SwapMap`] — a sharded read-mostly map whose readers never touch
-//!   a `Mutex`: lookups load an epoch-style published snapshot, writers
-//!   clone-on-insert and atomically swap the snapshot in.
+//!   workers behind a static partition. Each queue is a range of
+//!   indices packed in one atomic word, and one compare-and-swap claims
+//!   each index.
+//! * [`prefetch_read`] — a read-prefetch hint for the cache model's
+//!   tag slabs.
 //!
-//! Everything is built on `std::sync::atomic` only — no external
-//! dependencies — and each primitive carries stress-loop tests.
+//! The shared maps the runtime consults (the setup cache, the serve
+//! result cache and the store index) see one probe per cell or served
+//! cell, so they use `std::sync::Mutex` and live beside their users.
 //!
-//! This is the one flatwalk crate that uses `unsafe`; the rest of the
-//! workspace keeps `#![forbid(unsafe_code)]` and builds on the safe
-//! APIs exported here.
+//! This is the one flatwalk library that uses `unsafe` (the prefetch
+//! intrinsic); the other libraries keep `#![forbid(unsafe_code)]`.
 
-mod once;
 mod prefetch;
 mod steal;
-mod swap;
 
-pub use once::{OnceSlot, TakeSlot};
 pub use prefetch::prefetch_read;
 pub use steal::StealQueues;
-pub use swap::SwapMap;

@@ -5,6 +5,7 @@
 //! vocabulary those characterizations are written in. All randomness is
 //! seeded, so streams are exactly reproducible.
 
+use flatwalk_types::key::KeyWriter;
 use flatwalk_types::rng::SplitMix64;
 
 /// A recipe for generating byte offsets within a footprint.
@@ -58,6 +59,35 @@ pub struct PatternState {
 }
 
 impl Pattern {
+    /// Writes the pattern into a canonical content key: its variant
+    /// tag, then its fields; a mixture writes its length, then each
+    /// weight and part.
+    pub fn write_key(&self, key: &mut KeyWriter) {
+        match self {
+            Pattern::Uniform => key.text("uniform"),
+            Pattern::Stream { stride } => key.text("stream").uint(*stride),
+            Pattern::Hot {
+                hot_bytes,
+                hot_prob,
+            } => key.text("hot").uint(*hot_bytes).float(*hot_prob),
+            Pattern::Chase {
+                cluster_bytes,
+                switch_prob,
+            } => key.text("chase").uint(*cluster_bytes).float(*switch_prob),
+            Pattern::Zipf { regions, exponent } => {
+                key.text("zipf").uint(*regions as u64).float(*exponent)
+            }
+            Pattern::Mix(parts) => {
+                key.text("mix").uint(parts.len() as u64);
+                for (weight, part) in parts {
+                    key.float(*weight);
+                    part.write_key(key);
+                }
+                key
+            }
+        };
+    }
+
     /// Builds the mutable state needed to generate this pattern.
     #[allow(clippy::only_used_in_recursion)] // footprint is for future variants
     pub(crate) fn state(&self, footprint: u64) -> PatternState {

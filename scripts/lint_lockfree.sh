@@ -1,22 +1,23 @@
 #!/usr/bin/env sh
-# Lock-free hot-path lint.
+# Tagged-lock lint for the per-cell and per-request paths.
 #
-# The scheduler, setup cache, and serve result cache promise lock-free
-# READ paths (EXPERIMENTS.md, "Hot-path concurrency rules"). Locks are
-# still legitimate on write/retire paths, in test-only plumbing, and in
-# panic reporting — but every such site must say so: any `.lock()` in
-# the files below without a `// lock-ok: <reason>` tag on the same line
-# fails this lint. Adding a lock to a read path means either tagging it
-# (and defending the tag in review) or, correctly, not adding it.
+# The files below are the ones every grid cell or served request goes
+# through: the scheduler, the setup cache, the serve result cache and
+# store, and the memory model (EXPERIMENTS.md, "Hot-path concurrency
+# rules"). A lock there is allowed, but it must say how often it is
+# taken: any `.lock()` in these files without a `// lock-ok: <reason>`
+# tag on the same line fails this lint. The reason names the lock's
+# traffic (once per cell, per served cell or per job) or why it is off
+# the hot path (panic reporting, test plumbing), so a lock taken per
+# simulated operation cannot slip in unremarked. `RwLock` is never
+# permitted.
 #
 # Run from the repository root: sh scripts/lint_lockfree.sh
 
 set -eu
 
 HOT_PATH_FILES="
-crates/sync/src/once.rs
 crates/sync/src/steal.rs
-crates/sync/src/swap.rs
 crates/sync/src/prefetch.rs
 crates/sim/src/setup.rs
 crates/sim/src/runner.rs
